@@ -4,13 +4,15 @@ An experience operator assigns a nonnegative measure density to one perception.
 The variants below cover the standard construction hierarchy: plain positive
 operators, projectors (possibly constrained or group-symmetrized), commuting
 products, ordered chains of projectors, unit-coefficient sums of chains, and
-real parts of class operators.
+real parts of class operators.  Each variant realizes itself and carries its
+JSON tag; `realize`, `spec_to_json` and `spec_from_json` are the entry points.
 """
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from dataclasses import dataclass, fields
+from typing import Callable, ClassVar, Optional, Sequence, Union, get_args
 
 import numpy as np
 
@@ -18,26 +20,52 @@ from .errors import DimensionMismatch, InvalidExperience, ValidationError
 from .operators import DEFAULT_TOL, Operator, State, is_projector
 
 
+def _same_dim(ops: Sequence[Operator], what: str) -> None:
+    if len({op.dim for op in ops}) > 1:
+        raise DimensionMismatch(f"{what} act on spaces of different dimension")
+
+
+def _left_product(ops: Sequence[Operator]) -> np.ndarray:
+    return functools.reduce(np.matmul, [op.mat for op in ops])
+
+
+def _pairwise_within(ops: Sequence[Operator], pair: Callable, tol: float) -> bool:
+    """True iff every entry of pair(A, B) is within tol for every pair of ops."""
+    return all(np.max(np.abs(pair(a.mat, b.mat))) <= tol for a, b in itertools.combinations(ops, 2))
+
+
+def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a @ b - b @ a
+
+
 @dataclass(frozen=True)
 class Explicit:
     """An experience operator given directly as a positive operator."""
 
+    tag: ClassVar[str] = "explicit"
     op: Operator
+
+    def realize(self, state: Optional[State] = None, tol: float = DEFAULT_TOL) -> Operator:
+        return self.op
 
 
 @dataclass(frozen=True)
 class Projector:
+    tag: ClassVar[str] = "projector"
     op: Operator
 
     def __post_init__(self):
         if not is_projector(self.op, DEFAULT_TOL):
             raise ValidationError("Projector spec requires an idempotent Hermitian operator")
 
+    realize = Explicit.realize
+
 
 @dataclass(frozen=True)
 class ConstrainedProjector:
     """P_C P P_C: a projector sandwiched by the constraint projector P_C."""
 
+    tag: ClassVar[str] = "constrained_projector"
     constraint: Operator
     inner: Operator
 
@@ -45,6 +73,11 @@ class ConstrainedProjector:
         for name, op in (("constraint", self.constraint), ("inner", self.inner)):
             if not is_projector(op, DEFAULT_TOL):
                 raise ValidationError(f"ConstrainedProjector {name} must be a projector")
+        _same_dim((self.constraint, self.inner), "constraint and inner projector")
+
+    def realize(self, state: Optional[State] = None, tol: float = DEFAULT_TOL) -> Operator:
+        pc = self.constraint.mat
+        return Operator(pc @ self.inner.mat @ pc)
 
 
 @dataclass(frozen=True)
@@ -55,6 +88,7 @@ class SymmetrizedProjector:
     finite element list (including the identity).
     """
 
+    tag: ClassVar[str] = "symmetrized_projector"
     inner: Operator
     group: tuple[Operator, ...]
 
@@ -64,10 +98,15 @@ class SymmetrizedProjector:
         group = tuple(self.group)
         if len(group) == 0:
             raise ValidationError("symmetry group must be a nonempty finite list")
+        _same_dim((self.inner,) + group, "inner projector and group elements")
         for g in group:
             if np.max(np.abs(g.mat @ g.mat.conj().T - np.eye(g.dim))) > 1e-8:
                 raise ValidationError("group elements must be unitary")
         object.__setattr__(self, "group", group)
+
+    def realize(self, state: Optional[State] = None, tol: float = DEFAULT_TOL) -> Operator:
+        acc = sum(g.mat @ self.inner.mat @ g.mat.conj().T for g in self.group)
+        return Operator(acc / len(self.group))
 
 
 @dataclass(frozen=True)
@@ -77,6 +116,7 @@ class ProductProjector:
     The components must commute pairwise; this is verified at realization.
     """
 
+    tag: ClassVar[str] = "product_projector"
     components: tuple[Operator, ...]
 
     def __post_init__(self):
@@ -86,7 +126,13 @@ class ProductProjector:
         for c in comps:
             if not is_projector(c, DEFAULT_TOL):
                 raise ValidationError("ProductProjector components must be projectors")
+        _same_dim(comps, "ProductProjector components")
         object.__setattr__(self, "components", comps)
+
+    def realize(self, state: Optional[State] = None, tol: float = DEFAULT_TOL) -> Operator:
+        if not _pairwise_within(self.components, _commutator, tol):
+            raise ValidationError("ProductProjector components do not commute within tol")
+        return Operator(_left_product(self.components))
 
 
 @dataclass(frozen=True)
@@ -97,6 +143,7 @@ class ProjectionSequence:
     The caller fixes the order; nothing here infers one.
     """
 
+    tag: ClassVar[str] = "sequence"
     chain: tuple[Operator, ...]
 
     def __post_init__(self):
@@ -106,19 +153,22 @@ class ProjectionSequence:
         for p in chain:
             if not is_projector(p, DEFAULT_TOL):
                 raise ValidationError("chain entries must be projectors")
+        _same_dim(chain, "chain entries")
         object.__setattr__(self, "chain", chain)
 
     def class_operator(self) -> Operator:
-        mat = self.chain[0].mat
-        for p in self.chain[1:]:
-            mat = mat @ p.mat
-        return Operator(mat)
+        return Operator(_left_product(self.chain))
+
+    def realize(self, state: Optional[State] = None, tol: float = DEFAULT_TOL) -> Operator:
+        c = self.class_operator().mat
+        return Operator(c.conj().T @ c)
 
 
 @dataclass(frozen=True)
 class HistorySum:
     """Unit-coefficient sum of projector chains; realizes to C^dagger C."""
 
+    tag: ClassVar[str] = "history_sum"
     sequences: tuple[ProjectionSequence, ...]
 
     def __post_init__(self):
@@ -128,18 +178,32 @@ class HistorySum:
         )
         if len(seqs) == 0:
             raise ValidationError("HistorySum needs at least one chain")
+        _same_dim([s.chain[0] for s in seqs], "HistorySum chains")
         object.__setattr__(self, "sequences", seqs)
 
     def class_operator(self) -> Operator:
-        mats = [s.class_operator().mat for s in self.sequences]
-        return Operator(sum(mats))
+        return Operator(sum(s.class_operator().mat for s in self.sequences))
+
+    realize = ProjectionSequence.realize
 
 
 @dataclass(frozen=True)
 class LinearlyPositive:
     """Re C for a class operator C; valid only where the state gives <Re C> >= 0."""
 
+    tag: ClassVar[str] = "linearly_positive"
     class_op: Operator
+
+    def realize(self, state: Optional[State] = None, tol: float = DEFAULT_TOL) -> Operator:
+        if state is None:
+            raise ValidationError("LinearlyPositive requires a state to verify nonnegativity")
+        if state.dim != self.class_op.dim:
+            raise DimensionMismatch("state and class operator dims differ")
+        re_c = (self.class_op.mat + self.class_op.mat.conj().T) / 2
+        val = float(np.trace(state.mat @ re_c).real)
+        if val < -tol:
+            raise InvalidExperience(f"<Re C> = {val} is negative beyond tolerance")
+        return Operator(re_c)
 
 
 ExperienceSpec = Union[
@@ -153,16 +217,13 @@ ExperienceSpec = Union[
     LinearlyPositive,
 ]
 
-_SPEC_TAGS = {
-    Explicit: "explicit",
-    Projector: "projector",
-    ConstrainedProjector: "constrained_projector",
-    SymmetrizedProjector: "symmetrized_projector",
-    ProductProjector: "product_projector",
-    ProjectionSequence: "sequence",
-    HistorySum: "history_sum",
-    LinearlyPositive: "linearly_positive",
-}
+_SPEC_TYPES = get_args(ExperienceSpec)
+
+
+def _known(spec) -> ExperienceSpec:
+    if not isinstance(spec, _SPEC_TYPES):
+        raise ValidationError(f"unknown experience spec {type(spec).__name__}")
+    return spec
 
 
 def realize(spec: ExperienceSpec, state: Optional[State] = None, tol: float = DEFAULT_TOL) -> Operator:
@@ -171,84 +232,35 @@ def realize(spec: ExperienceSpec, state: Optional[State] = None, tol: float = DE
     A state is required only for LinearlyPositive, whose realization must be
     checked to have nonnegative expectation.
     """
-    if isinstance(spec, Explicit):
-        return spec.op
-    if isinstance(spec, Projector):
-        return spec.op
-    if isinstance(spec, ConstrainedProjector):
-        pc = spec.constraint.mat
-        return Operator(pc @ spec.inner.mat @ pc)
-    if isinstance(spec, SymmetrizedProjector):
-        acc = np.zeros((spec.inner.dim, spec.inner.dim), dtype=complex)
-        for g in spec.group:
-            acc += g.mat @ spec.inner.mat @ g.mat.conj().T
-        return Operator(acc / len(spec.group))
-    if isinstance(spec, ProductProjector):
-        for a, b in itertools.combinations(spec.components, 2):
-            comm = a.mat @ b.mat - b.mat @ a.mat
-            if np.max(np.abs(comm)) > tol:
-                raise ValidationError("ProductProjector components do not commute within tol")
-        mat = spec.components[0].mat
-        for c in spec.components[1:]:
-            mat = mat @ c.mat
-        return Operator(mat)
-    if isinstance(spec, (ProjectionSequence, HistorySum)):
-        c = spec.class_operator().mat
-        return Operator(c.conj().T @ c)
-    if isinstance(spec, LinearlyPositive):
-        if state is None:
-            raise ValidationError("LinearlyPositive requires a state to verify nonnegativity")
-        if state.dim != spec.class_op.dim:
-            raise DimensionMismatch("state and class operator dims differ")
-        re_c = (spec.class_op.mat + spec.class_op.mat.conj().T) / 2
-        val = float(np.trace(state.mat @ re_c).real)
-        if val < -tol:
-            raise InvalidExperience(f"<Re C> = {val} is negative beyond tolerance")
-        return Operator(re_c)
-    raise ValidationError(f"unknown experience spec {type(spec).__name__}")
+    return _known(spec).realize(state, tol)
+
+
+def _encode(value):
+    if isinstance(value, Operator):
+        return value.to_json()
+    if isinstance(value, ProjectionSequence):
+        return _encode(value.chain)
+    return [_encode(v) for v in value]
+
+
+def _decode(value):
+    if isinstance(value, dict):
+        return Operator.from_json(value)
+    return tuple(_decode(v) for v in value)
 
 
 def spec_to_json(spec: ExperienceSpec) -> dict:
-    tag = _SPEC_TAGS[type(spec)]
-    if isinstance(spec, (Explicit, Projector)):
-        return {"variant": tag, "op": spec.op.to_json()}
-    if isinstance(spec, ConstrainedProjector):
-        return {"variant": tag, "constraint": spec.constraint.to_json(), "inner": spec.inner.to_json()}
-    if isinstance(spec, SymmetrizedProjector):
-        return {"variant": tag, "inner": spec.inner.to_json(), "group": [g.to_json() for g in spec.group]}
-    if isinstance(spec, ProductProjector):
-        return {"variant": tag, "components": [c.to_json() for c in spec.components]}
-    if isinstance(spec, ProjectionSequence):
-        return {"variant": tag, "chain": [p.to_json() for p in spec.chain]}
-    if isinstance(spec, HistorySum):
-        return {"variant": tag, "sequences": [[p.to_json() for p in s.chain] for s in spec.sequences]}
-    if isinstance(spec, LinearlyPositive):
-        return {"variant": tag, "class_op": spec.class_op.to_json()}
-    raise ValidationError(f"unknown experience spec {type(spec).__name__}")
+    """The variant tag plus each field, with nested chains as projector lists."""
+    spec = _known(spec)
+    return {"variant": spec.tag, **{f.name: _encode(getattr(spec, f.name)) for f in fields(spec)}}
 
 
 def spec_from_json(data: dict) -> ExperienceSpec:
-    variant = data["variant"]
-    op = Operator.from_json
-    if variant == "explicit":
-        return Explicit(op(data["op"]))
-    if variant == "projector":
-        return Projector(op(data["op"]))
-    if variant == "constrained_projector":
-        return ConstrainedProjector(op(data["constraint"]), op(data["inner"]))
-    if variant == "symmetrized_projector":
-        return SymmetrizedProjector(op(data["inner"]), tuple(op(g) for g in data["group"]))
-    if variant == "product_projector":
-        return ProductProjector(tuple(op(c) for c in data["components"]))
-    if variant == "sequence":
-        return ProjectionSequence(tuple(op(p) for p in data["chain"]))
-    if variant == "history_sum":
-        return HistorySum(
-            tuple(ProjectionSequence(tuple(op(p) for p in chain)) for chain in data["sequences"])
-        )
-    if variant == "linearly_positive":
-        return LinearlyPositive(op(data["class_op"]))
-    raise ValidationError(f"unknown spec variant {variant!r}")
+    """Inverse of spec_to_json: dicts decode to operators, lists to tuples."""
+    cls = {c.tag: c for c in _SPEC_TYPES}.get(data["variant"])
+    if cls is None:
+        raise ValidationError(f"unknown spec variant {data['variant']!r}")
+    return cls(**{f.name: _decode(data[f.name]) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -362,19 +374,11 @@ def check_linear_independence(
 
 
 def check_commuting(family: ExperienceFamily, tol: float = DEFAULT_TOL) -> bool:
-    ops = family.realize_all()
-    for a, b in itertools.combinations(ops, 2):
-        if np.max(np.abs(a.mat @ b.mat - b.mat @ a.mat)) > tol:
-            return False
-    return True
+    return _pairwise_within(family.realize_all(), _commutator, tol)
 
 
 def check_orthogonal(family: ExperienceFamily, tol: float = DEFAULT_TOL) -> bool:
-    ops = family.realize_all()
-    for a, b in itertools.combinations(ops, 2):
-        if np.max(np.abs(a.mat @ b.mat)) > tol:
-            return False
-    return True
+    return _pairwise_within(family.realize_all(), np.matmul, tol)
 
 
 @dataclass(frozen=True)

@@ -102,6 +102,19 @@ def density_at(decomposition: ProjectorDecomposition, state: State) -> np.ndarra
     )
 
 
+def gram_metric(derivs: np.ndarray) -> np.ndarray:
+    """Gram metric g_ij = Re sum Tr[(d_i C)^dag (d_j C)] at each of N points.
+
+    derivs has shape (N, k, ...), the family's derivatives along k coordinates;
+    trailing axes (operator index, matrix entries) are summed over.
+    """
+    d = np.asarray(derivs, dtype=complex)
+    d = d.reshape(d.shape[0], d.shape[1], -1)
+    if not np.all(np.isfinite(d)):
+        raise ValidationError("family produced non-finite values")
+    return np.matmul(d.conj(), d.transpose(0, 2, 1)).real
+
+
 def family_metric(
     family: Callable[[np.ndarray], list[np.ndarray]],
     points: np.ndarray,
@@ -121,34 +134,25 @@ def family_metric(
     if steps.shape != (pts.shape[1],) or np.any(steps <= 0):
         raise ValidationError("one positive step per coordinate required")
 
-    def metric_at(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-        k = len(x)
-        diffs = []
-        for i in range(k):
-            shift = np.zeros(k)
-            shift[i] = h[i]
-            plus = family(x + shift)
-            minus = family(x - shift)
-            if len(plus) != len(minus):
-                raise ValidationError("family must return a fixed number of operators")
-            diffs.append([(p - m) / (2 * h[i]) for p, m in zip(plus, minus)])
-        g = np.empty((k, k))
-        for i in range(k):
-            for j in range(i, k):
-                val = 0.0
-                for da, db in zip(diffs[i], diffs[j]):
-                    if not np.all(np.isfinite(da.view(float))) or not np.all(
-                        np.isfinite(db.view(float))
-                    ):
-                        raise ValidationError("family produced non-finite values")
-                    val += float(np.trace(da.conj().T @ db).real)
-                g[i, j] = val
-                g[j, i] = val
-        return g
+    def metric(h: np.ndarray) -> np.ndarray:
+        derivs = []
+        for x in pts:
+            rows = []
+            for i, shift in enumerate(np.diag(h)):
+                plus, minus = family(x + shift), family(x - shift)
+                if len(plus) != len(minus):
+                    raise ValidationError("family must return a fixed number of operators")
+                rows.append([(p - m) / (2 * h[i]) for p, m in zip(plus, minus)])
+            derivs.append(rows)
+        try:
+            stacked = np.array(derivs, dtype=complex)
+        except ValueError as exc:
+            raise ValidationError("family must return equally shaped operators throughout") from exc
+        return gram_metric(stacked)
 
-    out = np.stack([metric_at(x, steps) for x in pts])
+    out = metric(steps)
     if check_step:
-        refined = np.stack([metric_at(x, steps / 2) for x in pts])
+        refined = metric(steps / 2)
         scale = max(1.0, float(np.max(np.abs(out))))
         if np.max(np.abs(out - refined)) > 1e-2 * scale:
             raise ValidationError("metric has not converged; reduce the step sizes")
@@ -218,12 +222,6 @@ class ReplicatedDecoherenceFunctional:
     def diagonal(self) -> dict[tuple[int, ...], float]:
         """Weights <P(h_1)>...<P(h_n)> of every atomic history; they sum to 1."""
         return {h: self.atomic(h, h).real for h in self.all_histories()}
-
-
-def replicated_decoherence_functional(
-    state: State, decompositions: Sequence[ProjectorDecomposition]
-) -> ReplicatedDecoherenceFunctional:
-    return ReplicatedDecoherenceFunctional(state, decompositions)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .errors import (
     ZeroMeasure,
 )
 from .hypotheses import ExperienceFamily, ExperienceSpec, realize
+from .manyworlds import gram_metric
 from .operators import DEFAULT_TOL, Operator, State, expectation
 
 
@@ -352,31 +353,19 @@ def prior_measure(
 
 
 def _riemannian_weights(ops: list[Operator], space: PerceptionSpace, tol: float) -> np.ndarray:
-    pts = space.points
-    ndim = pts.shape[1]
-    axes_vals = [np.unique(pts[:, i]) for i in range(ndim)]
-    shape = tuple(len(a) for a in axes_vals)
-    if int(np.prod(shape)) != len(ops):
-        raise ValidationError("grid is not a full cartesian product")
-    mats = np.stack([op.mat for op in ops]).reshape(shape + ops[0].mat.shape)
+    axes_vals = [np.unique(column) for column in space.points.T]
+    ndim = len(axes_vals)
+    mesh = np.meshgrid(*axes_vals, indexing="ij")
+    if not np.array_equal(space.points, np.column_stack([m.reshape(-1) for m in mesh])):
+        raise ValidationError("grid points must be a full cartesian product in PerceptionSpace.grid order")
+    mats = np.stack([op.mat for op in ops]).reshape(mesh[0].shape + ops[0].mat.shape)
     # np.gradient: central differences inside, one-sided at the boundary
-    diffs = [
-        np.gradient(mats, axes_vals[axis], axis=axis, edge_order=1)
-        for axis in range(ndim)
-    ]
-    n_points = len(ops)
-    flat_diffs = [d.reshape((n_points,) + ops[0].mat.shape) for d in diffs]
-    weights = np.empty(n_points)
-    for i in range(n_points):
-        g = np.empty((ndim, ndim))
-        for a in range(ndim):
-            for b in range(a, ndim):
-                val = np.trace(flat_diffs[a][i].conj().T @ flat_diffs[b][i]).real
-                g[a, b] = val
-                g[b, a] = val
-        det = float(np.linalg.det(g))
-        weights[i] = np.sqrt(det) if det > tol else np.nan
-    return weights
+    diffs = np.stack(
+        [np.gradient(mats, axes_vals[axis], axis=axis, edge_order=1) for axis in range(ndim)],
+        axis=ndim,
+    )
+    det = np.linalg.det(gram_metric(diffs.reshape((len(ops), ndim, -1))))
+    return np.where(det > tol, np.sqrt(np.abs(det)), np.nan)
 
 
 def relative_state(spec: ExperienceSpec, pure_state, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -210,17 +210,12 @@ def two_step_analysis(
     qr = q.mat @ r.mat
     qrq = qr @ q.mat
     cross = complex(np.trace(rho.mat @ (qr - qrq)))
-
-    exp_q = float(expectation(rho, q).real)
-    exp_r = float(expectation(rho, r).real)
-    re_qr = float(np.trace(rho.mat @ qr).real)
-    eps = 1e-12
-    linpos = max(0.0, exp_q + exp_r - 1.0) <= re_qr + eps and re_qr <= min(exp_q, exp_r) + eps
+    linpos = _linpos_mask(_pauli_vector(rho), _pauli_vector(q)[np.newaxis], _pauli_vector(r)[np.newaxis])
 
     return TwoStepReport(
         weak_residual=2.0 * cross.real,
         medium_residual=abs(cross),
-        linearly_positive=bool(linpos),
+        linearly_positive=bool(linpos[0]),
         measures=measures,  # type: ignore[arg-type]
     )
 
@@ -233,8 +228,20 @@ def _sample_directions(rng: np.random.Generator, count: int):
     return np.column_stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t])
 
 
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _pauli_vector(x) -> np.ndarray:
+    """Bloch vector Tr(X sigma_i) of a qubit state or operator X."""
+    return np.einsum("ij,kji->k", x.mat, _PAULI).real
+
+
 def _linpos_mask(a: np.ndarray, qs: np.ndarray, rs: np.ndarray) -> np.ndarray:
-    """Vectorized interval condition on Bloch vectors (state a, samples qs/rs)."""
+    """Vectorized interval condition on Bloch vectors (state a, samples qs/rs).
+
+    <Q> = (1 + a.q)/2 and Re <QR> = (1 + q.r + a.q + a.r)/4 hold only when all
+    three vectors come from one map to the sphere, such as _pauli_vector.
+    """
     aq = qs @ a
     ar = rs @ a
     qr = np.einsum("ij,ij->i", qs, rs)

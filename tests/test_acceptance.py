@@ -30,9 +30,9 @@ from conftest import random_projector, random_state
 from qpercept import inference, toymodels
 from qpercept.hypotheses import ExperienceFamily, Explicit, awareness_operator, realize
 from qpercept.manyworlds import (
+    ReplicatedDecoherenceFunctional,
     SpectralExperience,
     reconstruct_measures,
-    replicated_decoherence_functional,
     sample_decomposition,
     spectral_operator,
 )
@@ -303,7 +303,7 @@ def test_criterion_10_property_suites(rng):
         decs = [
             sample_decomposition(3, (1, 1, 1), int(rng.integers(0, 2**30))) for _ in range(2)
         ]
-        f = replicated_decoherence_functional(state, decs)
+        f = ReplicatedDecoherenceFunctional(state, decs)
         hists = list(f.all_histories())
         off = max(
             abs(f.atomic(h, hp)) for h in hists for hp in hists if h != hp

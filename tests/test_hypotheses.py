@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_projector, random_state
-from qpercept.errors import InvalidExperience, ValidationError
+from qpercept.errors import DimensionMismatch, InvalidExperience, ValidationError
 from qpercept.hypotheses import (
     ConstrainedProjector,
     ExperienceFamily,
@@ -379,10 +380,35 @@ def test_spec_json_round_trip():
         LinearlyPositive(r @ q),
     ]
     for spec in specs:
-        back = spec_from_json(spec_to_json(spec))
+        data = spec_to_json(spec)
+        back = spec_from_json(json.loads(json.dumps(data)))
         assert type(back) is type(spec)
+        assert spec_to_json(back) == data
         if hasattr(spec, "op"):
             assert np.array_equal(back.op.mat, spec.op.mat)
+    for call in (lambda: realize(q), lambda: spec_to_json(q), lambda: spec_from_json({"variant": "nope"})):
+        with pytest.raises(ValidationError):
+            call()
+
+
+_Q2 = bloch_projector(0.4, 1.1)
+_P3 = Operator(np.diag([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ProjectionSequence((_Q2, _P3)),
+        lambda: ConstrainedProjector(_P3, _Q2),
+        lambda: SymmetrizedProjector(_Q2, (identity(2), identity(3))),
+        lambda: ProductProjector((_Q2, _P3)),
+        lambda: HistorySum(((_Q2,), (_P3,))),
+    ],
+    ids=["sequence", "constrained", "symmetrized", "product", "history_sum"],
+)
+def test_mixed_dimensions_raise_dimension_mismatch(build):
+    with pytest.raises(DimensionMismatch):
+        build()
 
 
 def test_two_step_family_sums_to_identity(rng):

@@ -10,16 +10,18 @@ from conftest import random_state
 from qpercept.errors import DimensionMismatch, ValidationError
 from qpercept.manyworlds import (
     ProjectorDecomposition,
+    ReplicatedDecoherenceFunctional,
     SpectralExperience,
     density_at,
     family_metric,
+    gram_metric,
     manifold_dimension,
     reconstruct_measures,
-    replicated_decoherence_functional,
     sample_decomposition,
     spectral_operator,
 )
 from qpercept.operators import Operator, State, bloch_projector, expectation, haar_random_unitary
+from qpercept.toymodels import ball_experience, ball_prior_weight
 
 
 def test_manifold_dimension_values():
@@ -141,13 +143,33 @@ def test_family_metric_rejects_nonconverged_step():
         family_metric(family, np.array([[0.1]]), [1e-2], check_step=True)
 
 
+def test_gram_metric_matches_trace_loop(rng):
+    derivs = rng.standard_normal((4, 3, 2, 3, 3)) + 1j * rng.standard_normal((4, 3, 2, 3, 3))
+    g = gram_metric(derivs)
+    assert g.shape == (4, 3, 3)
+    for n, i, j in itertools.product(range(4), range(3), range(3)):
+        # reference: sum over operators of Re Tr(dA^dag dB)
+        ref = sum(np.trace(da.conj().T @ db).real for da, db in zip(derivs[n, i], derivs[n, j]))
+        assert g[n, i, j] == pytest.approx(ref, rel=1e-13, abs=1e-13)
+    derivs[2, 1, 0, 0, 0] = np.nan
+    with pytest.raises(ValidationError):
+        gram_metric(derivs)
+
+
+def test_family_metric_ball_volume_element_is_prior_weight():
+    pts = np.array([[0.0, 0.0, 0.0], [0.2, -0.1, 0.3], [-0.4, 0.3, 0.1], [0.1, 0.5, -0.5]])
+    g = family_metric(lambda x: [ball_experience(*x).mat], pts, [1e-4, 1e-4, 1e-4])
+    exact = np.array([ball_prior_weight(*x) for x in pts])
+    assert np.max(np.abs(np.sqrt(np.linalg.det(g)) / exact - 1.0)) < 1e-6
+
+
 # --- replicated decoherence functional ----------------------------------------------
 
 
 def test_one_step_diagonal_reproduces_projector_weights(rng):
     dec = sample_decomposition(3, (1, 1, 1), 2)
     state = random_state(rng, 3)
-    f = replicated_decoherence_functional(state, [dec])
+    f = ReplicatedDecoherenceFunctional(state, [dec])
     diag = f.diagonal()
     for i in range(3):
         assert diag[(i,)] == pytest.approx(
@@ -158,7 +180,7 @@ def test_one_step_diagonal_reproduces_projector_weights(rng):
 def test_replicated_functional_properties(rng):
     state = random_state(rng, 3)
     decs = [sample_decomposition(3, (1, 2), 4), sample_decomposition(3, (1, 1, 1), 9)]
-    f = replicated_decoherence_functional(state, decs)
+    f = ReplicatedDecoherenceFunctional(state, decs)
     histories = list(f.all_histories())
     # hermiticity, positive diagonal, unit total, vanishing off-diagonals
     total = 0.0
@@ -177,7 +199,7 @@ def test_replicated_functional_properties(rng):
 def test_replicated_functional_bilinear_extension(rng):
     state = random_state(rng, 2)
     decs = [sample_decomposition(2, (1, 1), s) for s in (1, 2)]
-    f = replicated_decoherence_functional(state, decs)
+    f = ReplicatedDecoherenceFunctional(state, decs)
     a = [(0, 0), (0, 1)]
     b = [(1, 0)]
     direct = sum(f.atomic(h, hp) for h in a for hp in b)
@@ -186,7 +208,7 @@ def test_replicated_functional_bilinear_extension(rng):
 
 def test_replicated_functional_index_validation(rng):
     state = random_state(rng, 2)
-    f = replicated_decoherence_functional(state, [sample_decomposition(2, (1, 1), 0)])
+    f = ReplicatedDecoherenceFunctional(state, [sample_decomposition(2, (1, 1), 0)])
     with pytest.raises(ValidationError):
         f.atomic((2,), (0,))
     with pytest.raises(ValidationError):

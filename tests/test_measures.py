@@ -31,7 +31,7 @@ from qpercept.measures import (
     typicality_of_density,
 )
 from qpercept.operators import Operator, State, bloch_projector, identity
-from qpercept.toymodels import ball_prior_weight, circle_density_array, circle_model
+from qpercept.toymodels import ball_experience, ball_prior_weight, circle_density_array, circle_model
 
 
 def circle_profile(theta: float, points: int = 20001) -> MeasureProfile:
@@ -322,6 +322,38 @@ def test_prior_measure_riemannian_sphere_proportional_to_sine():
     ratio = interior / sines[:, None]
     # proportionality to sin(polar): the ratio is constant across the grid
     assert np.nanmax(np.abs(ratio / np.nanmean(ratio) - 1.0)) < 1e-4
+
+
+def test_prior_measure_riemannian_rejects_grid_out_of_order():
+    # same points and a family permuted to match, but not in PerceptionSpace.grid
+    # order: the np.gradient reshape would silently scramble neighbors
+    axis = np.linspace(0.2, math.pi - 0.2, 41)
+    grid = PerceptionSpace.grid({"vartheta": axis, "varphi": np.linspace(0.0, 2 * math.pi, 41)})
+    order = np.random.default_rng(5).permutation(len(grid))
+    space = PerceptionSpace(weights=grid.weights[order], points=grid.points[order], axes=grid.axes)
+    fam = ExperienceFamily(
+        tuple(
+            (f"p{i}", Projector(bloch_projector(float(vt), float(vp))), 1.0)
+            for i, (vt, vp) in enumerate(space.points)
+        )
+    )
+    with pytest.raises(ValidationError):
+        prior_measure(fam, "riemannian", space=space)
+
+
+def test_prior_measure_riemannian_converges_to_ball_prior():
+    # the grid Gram metric approaches sqrt(8)/(1+r^2)^3 at second order
+    errors = []
+    for n in (11, 21):
+        axis = np.linspace(-0.5, 0.5, n)
+        space = PerceptionSpace.grid({"u": axis, "v": axis, "w": axis})
+        fam = ExperienceFamily(
+            tuple((f"b{i}", Explicit(ball_experience(*pt)), 1.0) for i, pt in enumerate(space.points))
+        )
+        weights = prior_measure(fam, "riemannian", space=space).reshape(n, n, n)
+        exact = np.array([ball_prior_weight(*pt) for pt in space.points]).reshape(n, n, n)
+        errors.append(np.max(np.abs(weights / exact - 1.0)[1:-1, 1:-1, 1:-1]))
+    assert errors[1] <= errors[0] / 3
 
 
 def test_relative_state_examples(rng):

@@ -217,17 +217,41 @@ def test_linear_positivity_deterministic_and_sharded():
     assert c.fraction == d.fraction
 
 
+def _matrix_route_linpos(rho: State, q, r) -> bool:
+    """Oracle: max(0, <Q+R-I>) <= Re <QR> <= min(<Q>, <R>) from the matrices."""
+    exp_q = expectation(rho, q).real
+    exp_r = expectation(rho, r).real
+    re_qr = np.trace(rho.mat @ q.mat @ r.mat).real
+    eps = 1e-12
+    return max(0.0, exp_q + exp_r - 1.0) <= re_qr + eps and re_qr <= min(exp_q, exp_r) + eps
+
+
 def test_linear_positivity_matches_matrix_route(rng):
-    # vectorized sampler agrees with the operator-level analysis pointwise
-    hits = 0
+    # the Bloch-vector predicate agrees with the matrix route pointwise, and for
+    # pure states also with the eight-triangle picture
     n = 300
     state_dir = Direction(0.0, 0.0)
+    pure = State.from_bloch(0.0, 0.0)
+    hits = 0
     for _ in range(n):
         qd, rd = direction_from(rng), direction_from(rng)
+        q, r = bloch_projector(qd.polar, qd.azimuth), bloch_projector(rd.polar, rd.azimuth)
         rep = two_step_analysis(state_dir, qd, rd)
+        assert rep.linearly_positive == _matrix_route_linpos(pure, q, r)
         tri = triangle_equivalence(state_dir, qd, rd)
         assert tri.status == "ok"
         assert rep.linearly_positive == tri.inequality_holds
+        hits += rep.linearly_positive
+    assert 0 < hits < n
+    # mixed states off the pole: every Bloch vector must come from the same map
+    hits = 0
+    for _ in range(n):
+        sd, qd, rd = (direction_from(rng) for _ in range(3))
+        q, r = bloch_projector(qd.polar, qd.azimuth), bloch_projector(rd.polar, rd.azimuth)
+        length = rng.uniform(0.0, 1.0)
+        rho = State(length * State.from_bloch(sd.polar, sd.azimuth).mat + (1 - length) * np.eye(2) / 2)
+        rep = two_step_analysis(sd, qd, rd, state=rho)
+        assert rep.linearly_positive == _matrix_route_linpos(rho, q, r)
         hits += rep.linearly_positive
     assert 0 < hits < n
 
