@@ -4,7 +4,8 @@ parameterized analyses, emitting machine-readable JSON (default) or CSV.
 Output is deterministic: identical invocations with identical seeds produce
 byte-identical bytes (numbers are rounded to 12 significant digits and no
 timestamps are emitted).  Exit codes: 0 success, 1 computation or battery
-failure, 2 usage error.
+failure, 2 usage error.  Reports are strict JSON: a non-finite option is a
+usage error, and a non-finite result is a computation failure.
 """
 from __future__ import annotations
 
@@ -27,6 +28,8 @@ DEFAULT_SEED = reproduce.DEFAULT_SEED
 
 def _round_floats(obj: Any) -> Any:
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise QPerceptError("the report holds a non-finite value")
         return float(f"{obj:.12g}")
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
@@ -49,7 +52,7 @@ def _flatten(prefix: str, obj: Any, rows: list[tuple[str, Any]]) -> None:
 def _emit(report: dict, fmt: str, output: Optional[str]) -> None:
     report = _round_floats(report)
     if fmt == "json":
-        text = json.dumps(report, indent=2, sort_keys=False) + "\n"
+        text = json.dumps(report, indent=2, sort_keys=False, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -362,15 +365,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config(args)
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValidationError(f"--{name} must be finite, got {value}")
         report, code = _HANDLERS[args.command](args)
+        _emit(report, args.format or "json", args.output)
     except ValidationError as exc:
         print(f"qpercept: invalid input: {exc}", file=sys.stderr)
         return 2
-    except QPerceptError as exc:
+    except (QPerceptError, ArithmeticError) as exc:  # ArithmeticError: overflow, division by zero
         print(f"qpercept: computation failed: {exc}", file=sys.stderr)
         return 1
-    fmt = args.format or "json"
-    _emit(report, fmt, args.output)
     if code != 0 and args.command == "reproduce":
         failed = ", ".join(report["results"]["failed"])
         print(f"qpercept: failing checks: {failed}", file=sys.stderr)

@@ -10,22 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from math import erf, erfc
 from typing import Callable, Optional
 
 import numpy as np
 from scipy import integrate
 
 from .errors import DegenerateInput, ValidationError, ZeroMeasure
-
-
-def erf(x: float) -> float:
-    """Error function (delegates to the C library implementation)."""
-    return math.erf(x)
-
-
-def erfc(x: float) -> float:
-    """Complementary error function 1 - erf(x)."""
-    return math.erfc(x)
 
 
 @dataclass(frozen=True)

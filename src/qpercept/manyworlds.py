@@ -159,6 +159,23 @@ def family_metric(
     return out
 
 
+def _check_steps(state: State, decompositions: Sequence[ProjectorDecomposition]) -> tuple:
+    decomps = tuple(decompositions)
+    if len(decomps) == 0:
+        raise ValidationError("need at least one step")
+    for d in decomps:
+        if d.dim != state.dim:
+            raise DimensionMismatch("every step must share the state dimension")
+    return decomps
+
+
+def _check_term(decomps: Sequence[ProjectorDecomposition], d_idx: int, p_idx: int) -> None:
+    if not 0 <= d_idx < len(decomps):
+        raise ValidationError(f"decomposition index {d_idx} out of range")
+    if not 0 <= p_idx < len(decomps[d_idx]):
+        raise ValidationError(f"projector index {p_idx} out of range")
+
+
 class ReplicatedDecoherenceFunctional:
     """Bilinear pairing of histories over replicated copies of one state.
 
@@ -169,12 +186,7 @@ class ReplicatedDecoherenceFunctional:
     """
 
     def __init__(self, state: State, decompositions: Sequence[ProjectorDecomposition]):
-        decomps = tuple(decompositions)
-        if len(decomps) == 0:
-            raise ValidationError("need at least one step")
-        for d in decomps:
-            if d.dim != state.dim:
-                raise DimensionMismatch("every step must share the state dimension")
+        decomps = _check_steps(state, decompositions)
         self.state = state
         self.decompositions = decomps
         # <P_j P_i> per step, indexed [step][j, i]
@@ -259,10 +271,7 @@ def spectral_operator(
     dim = decomps[0].dim
     acc = np.zeros((dim, dim), dtype=complex)
     for lam, d_idx, p_idx in spectral.terms[perception]:
-        if not 0 <= d_idx < len(decomps):
-            raise ValidationError(f"decomposition index {d_idx} out of range")
-        if not 0 <= p_idx < len(decomps[d_idx]):
-            raise ValidationError(f"projector index {p_idx} out of range")
+        _check_term(decomps, d_idx, p_idx)
         acc += lam * decomps[d_idx].projectors[p_idx].mat
     return Operator(acc)
 
@@ -274,25 +283,18 @@ def reconstruct_measures(
 ) -> np.ndarray:
     """Measures recovered from the diagonal of the replicated functional.
 
-    Each atomic history contributes its product weight to perception p with
-    the coefficient attached to the projector the history selects at the
-    term's step; completeness of the other steps collapses the sum to the
-    direct expectation of the perception's operator.
+    The diagonal is the product of the per-step marginals m_k = density_at.
+    Summing it over the histories that select projector j at step d leaves
+    m_d[j], since every other step's projectors sum to the identity, so
+    out[p] = sum of lam * m_d[j] over p's terms (lam, d, j): linear, not
+    exponential, in the step count.  ReplicatedDecoherenceFunctional.diagonal
+    is the enumeration this replaces.
     """
-    functional = ReplicatedDecoherenceFunctional(state, decompositions)
-    diag = functional.diagonal()
-    out = np.zeros(len(spectral))
-    for p, per_perception in enumerate(spectral.terms):
-        for lam, d_idx, p_idx in per_perception:
-            if not 0 <= d_idx < functional.steps:
-                raise ValidationError(f"decomposition index {d_idx} out of range")
-            if not 0 <= p_idx < len(decompositions[d_idx]):
-                raise ValidationError(f"projector index {p_idx} out of range")
-        total = 0.0
-        for h, weight in diag.items():
-            coeff = sum(
-                lam for lam, d_idx, p_idx in per_perception if h[d_idx] == p_idx
-            )
-            total += coeff * weight
-        out[p] = total
-    return out
+    decomps = _check_steps(state, decompositions)
+    for terms in spectral.terms:
+        for _, d_idx, p_idx in terms:
+            _check_term(decomps, d_idx, p_idx)
+    marginals = [density_at(d, state) for d in decomps]
+    return np.array(
+        [sum(lam * marginals[d][j] for lam, d, j in terms) for terms in spectral.terms], dtype=float
+    )

@@ -334,21 +334,20 @@ def prior_measure(
     finite differences of the operator family across grid neighbors; grid
     points where the metric degenerates (det <= tol) come back as NaN.
     """
-    ops = family.realize_all()
     if mode == "counting":
         return np.ones(len(family))
     if mode == "trace":
-        return np.array([float(np.trace(op.mat).real) for op in ops])
+        return np.array([float(np.trace(op.mat).real) for op in family.realize_all()])
     if mode == "prior_state":
         if prior_state is None:
             raise ValidationError("prior_state mode needs a reference state")
-        return np.array([float(expectation(prior_state, op).real) for op in ops])
+        return np.array([float(expectation(prior_state, op).real) for op in family.realize_all()])
     if mode == "riemannian":
         if space is None or space.points is None:
             raise ValidationError("riemannian mode needs a grid space")
         if len(space) != len(family):
             raise ValidationError("family must cover the grid points in order")
-        return _riemannian_weights(ops, space, tol)
+        return _riemannian_weights(family.realize_all(), space, tol)
     raise ValidationError(f"unknown prior-measure mode {mode!r}")
 
 

@@ -321,10 +321,9 @@ def _eight_triangle_areas(s: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.nda
     signs = np.array(
         [(es, eq, er) for es in (1, -1) for eq in (1, -1) for er in (1, -1)], dtype=float
     )
-    areas = [
-        spherical_triangle_solid_angle(es * s, eq * q, er * r) for es, eq, er in signs
-    ]
-    return np.stack(areas, axis=-1)
+    # one broadcast call over a sign axis just before the vector axis
+    s8, q8, r8 = (np.asarray(v)[..., np.newaxis, :] * signs[:, [k]] for k, v in enumerate((s, q, r)))
+    return spherical_triangle_solid_angle(s8, q8, r8)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from qpercept import cli
+
 jsonschema = pytest.importorskip("jsonschema")
 
 REPO = Path(__file__).resolve().parents[1]
@@ -186,3 +188,57 @@ def test_computation_errors_exit_one():
     # degenerate circle-model state is a computation-domain error
     proc = run_cli("typicality", "--model", "circle", "--theta", "0", "--phi", "1", check=False)
     assert proc.returncode == 1
+
+
+# --- strict JSON: non-finite inputs and results, run in process ---------------
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["typicality", "--model", "circle", "--theta", "nan", "--phi", "0.3"], "--theta"),
+        (["typicality", "--model", "circle", "--theta", "1.2", "--phi=-inf"], "--phi"),
+        (["typicality", "--model", "ball", "--u", "nan", "--v", "0", "--w", "0"], "--u"),
+        (["typicality", "--model", "sphere", "--theta", "0.9", "--vartheta", "inf", "--phi", "0"],
+         "--vartheta"),
+        (["sqmn", "posterior", "--p", "inf", "--n", "1"], "--p"),
+        (["sqmn", "posterior", "--p", "1.3", "--n", "NaN"], "--n"),
+        (["sqmn", "band", "--floor", "Infinity"], "--floor"),
+        (["sqmn", "experiment", "--k", "3", "--level", "nan"], "--level"),
+        (["epr", "--theta", "nan"], "--theta"),
+        (["twostep", "--theta0", "0", "--phi0", "0", "--theta1", "inf", "--phi1", "0",
+          "--theta2", "1", "--phi2", "2"], "--theta1"),
+    ],
+)
+def test_non_finite_options_exit_two(argv, option, capsys):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert f"{option} must be finite" in err
+
+
+def test_non_finite_config_value_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"theta": NaN, "phi": 0.3}')
+    assert cli.main(["--config", str(cfg), "typicality", "--model", "circle"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "qpercept: invalid input: --theta must be finite, got nan\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sqmn", "posterior", "--p", "1e300", "--n", "1e-300"],  # a density overflows to inf
+        ["sqmn", "moments", "--p", "1e300"],  # OverflowError
+        ["sqmn", "moments", "--p", "1e-300"],  # ZeroDivisionError
+        ["sqmn", "experiment", "--k", "400", "--n", "1e300"],  # OverflowError
+    ],
+)
+def test_non_finite_results_exit_one(argv, fmt, tmp_path, capsys):
+    target = tmp_path / "report"
+    assert cli.main([*argv, "--format", fmt, "--output", str(target)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and not target.exists()
+    assert err.startswith("qpercept: computation failed: ") and err.count("\n") == 1

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -257,6 +258,95 @@ def test_reconstruct_matches_direct_expectation(seed):
     for p in range(len(spectral)):
         direct = expectation(state, spectral_operator(spectral, decs, p)).real
         assert recon[p] == pytest.approx(direct, abs=1e-10)
+
+
+def _random_ranks(rng, dim):
+    cuts = rng.choice(np.arange(1, dim), size=int(rng.integers(0, dim)), replace=False)
+    return tuple(int(r) for r in np.diff([0, *sorted(cuts), dim]))
+
+
+@given(dim=st.integers(2, 4), steps=st.integers(1, 5), seed=st.integers(0, 2**18))
+@settings(max_examples=40, deadline=None)
+def test_reconstruct_matches_history_enumeration(dim, steps, seed):
+    rng = np.random.default_rng(seed)
+    decs = [
+        sample_decomposition(dim, _random_ranks(rng, dim), int(rng.integers(0, 2**30)))
+        for _ in range(steps)
+    ]
+    state = random_state(rng, dim)
+    spectral = SpectralExperience(
+        terms=tuple(
+            tuple(
+                (float(rng.uniform(0, 2)), d_idx, int(rng.integers(0, len(decs[d_idx]))))
+                for d_idx in rng.integers(0, steps, size=int(rng.integers(0, 5)))
+            )
+            for _ in range(int(rng.integers(1, 5)))
+        )
+    )
+    # oracle: walk every atomic history of the replicated functional's diagonal
+    diag = ReplicatedDecoherenceFunctional(state, decs).diagonal()
+    expected = [
+        sum(
+            weight * sum(lam for lam, d_idx, p_idx in per_perception if h[d_idx] == p_idx)
+            for h, weight in diag.items()
+        )
+        for per_perception in spectral.terms
+    ]
+    recon = reconstruct_measures(state, spectral, decs)
+    assert recon.shape == (len(spectral),)
+    assert np.max(np.abs(recon - expected)) <= 1e-12
+
+
+def test_reconstruct_sixty_steps_without_enumeration(rng):
+    # 3^60 atomic histories: only the per-step marginals are computed
+    decs = [sample_decomposition(3, (1, 1, 1), seed) for seed in range(60)]
+    state = random_state(rng, 3)
+    spectral = SpectralExperience(
+        terms=tuple(
+            tuple(
+                (float(rng.uniform(0, 2)), int(d), int(rng.integers(0, 3)))
+                for d in rng.integers(0, 60, size=4)
+            )
+            for _ in range(10)
+        )
+    )
+    start = time.perf_counter()
+    recon = reconstruct_measures(state, spectral, decs)
+    assert time.perf_counter() - start < 1.0
+    for p in range(len(spectral)):
+        direct = expectation(state, spectral_operator(spectral, decs, p)).real
+        assert abs(recon[p] - direct) <= 1e-12
+
+
+def test_reconstruct_rejects_bad_steps(rng):
+    state = random_state(rng, 2)
+    spectral = SpectralExperience(terms=(((1.0, 5, 5),),))
+    # step checks come before term checks
+    with pytest.raises(ValidationError, match="need at least one step"):
+        reconstruct_measures(state, spectral, [])
+    with pytest.raises(DimensionMismatch):
+        reconstruct_measures(
+            state, spectral, [sample_decomposition(2, (1, 1), 0), sample_decomposition(3, (1, 2), 1)]
+        )
+
+
+@pytest.mark.parametrize(
+    "term, message",
+    [
+        ((1.0, 2, 0), "decomposition index 2 out of range"),
+        ((1.0, -1, 0), "decomposition index -1 out of range"),
+        ((1.0, 1, 3), "projector index 3 out of range"),
+        ((1.0, 0, -1), "projector index -1 out of range"),
+    ],
+)
+def test_reconstruct_rejects_out_of_range_terms(rng, term, message):
+    state = random_state(rng, 3)
+    decs = [sample_decomposition(3, (1, 2), 0), sample_decomposition(3, (1, 1, 1), 1)]
+    spectral = SpectralExperience(terms=(((0.5, 0, 1),), ((0.5, 1, 2), term)))
+    with pytest.raises(ValidationError, match=message):
+        reconstruct_measures(state, spectral, decs)
+    with pytest.raises(ValidationError, match=message):
+        spectral_operator(spectral, decs, 1)
 
 
 def test_spectral_experience_validation():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_projector, random_state
+from qpercept import hypotheses
 from qpercept.errors import InvalidExperience, ValidationError, ZeroMeasure
 from qpercept.hypotheses import ExperienceFamily, Explicit, Projector
 from qpercept.measures import (
@@ -291,6 +292,28 @@ def test_prior_measure_counting_and_trace(rng):
     assert np.allclose(prior_measure(fam, "trace"), np.ones(4))
     mixed = State.maximally_mixed(2)
     assert np.allclose(prior_measure(fam, "prior_state", prior_state=mixed), 0.5 * np.ones(4))
+
+
+def test_prior_measure_realizes_only_when_needed(rng, monkeypatch):
+    fam = ExperienceFamily(
+        tuple((f"p{i}", Projector(random_projector(rng, 2, 1)), 1.0) for i in range(5))
+    )
+    calls = []
+    real = hypotheses.realize
+
+    def counting_realize(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hypotheses, "realize", counting_realize)
+    assert np.array_equal(prior_measure(fam, "counting"), np.ones(5))
+    with pytest.raises(ValidationError, match="unknown prior-measure mode"):
+        prior_measure(fam, "volume")
+    with pytest.raises(ValidationError, match="needs a grid space"):
+        prior_measure(fam, "riemannian")
+    assert len(calls) == 0
+    prior_measure(fam, "trace")
+    assert len(calls) == 5
 
 
 def test_prior_measure_riemannian_circle_constant():
