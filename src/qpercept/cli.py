@@ -148,17 +148,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> None:
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Fill options left unset from the --config file, parsed as on the command line."""
     if not args.config:
         return
-    with open(args.config) as fh:
-        values = json.load(fh)
+    try:
+        with open(args.config) as fh:
+            values = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read config file {args.config!r}: {exc}") from None
     if not isinstance(values, dict):
         raise ValidationError("config file must hold a JSON object of option values")
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {a.dest: a for a in subparsers.choices[args.command]._actions
+               if a.option_strings and a.dest != "help"}
     for key, value in values.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            setattr(args, attr, value)
+        action = options.get(key.replace("-", "_"))
+        if action is None:
+            raise ValidationError(f"config key {key!r} is not an option of {args.command}")
+        try:
+            value = (action.type or str)(str(value))
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            raise ValidationError(f"config key {key!r} has invalid value {value!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise ValidationError(f"config key {key!r} must be one of {', '.join(map(str, action.choices))}")
+        if getattr(args, action.dest) is None:
+            setattr(args, action.dest, value)
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -187,6 +202,8 @@ def _cmd_reproduce(args) -> tuple[dict, int]:
 
 
 def _cmd_typicality(args) -> tuple[dict, int]:
+    if args.grid is not None and args.grid < 2:
+        raise ValidationError(f"--grid must be at least 2, got {args.grid}")
     if args.model == "circle":
         _require(args, "theta", "phi")
         res = toymodels.circle_model(args.theta, args.phi)
@@ -196,7 +213,7 @@ def _cmd_typicality(args) -> tuple[dict, int]:
             "reversed_typicality": res.reversed_typicality,
             "dual_typicality": res.dual_typicality,
         }
-        if args.grid:
+        if args.grid is not None:
             results["grid_typicality"] = reproduce.circle_grid_typicality(
                 args.theta, args.phi, points=args.grid
             )
@@ -364,7 +381,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        _apply_config(parser, args)
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValidationError(f"--{name} must be finite, got {value}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -55,6 +56,8 @@ class PerceptionSpace:
             if len(labels) != len(w):
                 raise ValidationError("need one weight per label")
             object.__setattr__(self, "labels", labels)
+            if len(self._label_index) != len(labels):
+                raise ValidationError("labels must be unique")
         if self.points is not None:
             pts = np.asarray(self.points, dtype=float)
             if pts.ndim != 2 or pts.shape[0] != len(w):
@@ -113,12 +116,16 @@ class PerceptionSpace:
             weights = weights * dens
         return cls(weights=weights, points=pts, axes=names)
 
+    @cached_property
+    def _label_index(self) -> dict[str, int]:
+        return {label: i for i, label in enumerate(self.labels)}
+
     def index_of(self, label: str) -> int:
         if self.labels is None:
             raise KeyError(f"grid space has no labels; use integer indices ({label!r})")
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._label_index[label]
+        except KeyError:
             raise KeyError(label) from None
 
 
@@ -160,6 +167,22 @@ class MeasureProfile:
             return int(p)
         return self.space.index_of(p)
 
+    @cached_property
+    def _curves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # mu{v' <= v} ("right") or mu{v' < v} ("left") over the total, read from the
+        # prefix sums of one stable sort; the top of the sort reads exactly 1
+        def fractions(values, *sides):
+            order = np.argsort(values, kind="stable")
+            ordered, sums = values[order], np.concatenate(([0.0], np.cumsum(self.point_measures[order])))
+            return [sums[np.searchsorted(ordered, values, side=side)] / sums[-1] for side in sides]
+
+        t, below = fractions(self.density, "right", "left")
+        t_r = 1.0 - below
+        (t_d,) = fractions(np.minimum(t, t_r), "right")
+        for curve in (t, t_r, t_d):
+            curve.setflags(write=False)
+        return t, t_r, t_d
+
 
 def profile_from_density(space: PerceptionSpace, density, tol: float = DEFAULT_TOL) -> MeasureProfile:
     """Build a profile from raw density values, clamping tiny negatives to 0."""
@@ -196,13 +219,14 @@ def build_profile(
     """
     if space is None:
         space = PerceptionSpace.discrete(family.labels, family.weights)
-        density = [measure_density(state, spec, tol) for _, spec, _ in family.entries]
-    elif space.labels is None:
+    if space.labels is None:
         if len(family) != len(space):
             raise ValidationError("family must cover the grid points in order")
-        density = [measure_density(state, spec, tol) for _, spec, _ in family.entries]
+        specs = [spec for _, spec, _ in family.entries]
     else:
-        density = [measure_density(state, family.spec_for(l), tol) for l in space.labels]
+        by_label = {label: spec for label, spec, _ in family.entries}
+        specs = [by_label[label] for label in space.labels]
+    density = [measure_density(state, spec, tol) for spec in specs]
     return profile_from_density(space, np.array(density), tol)
 
 
@@ -252,52 +276,27 @@ def _check_total(profile: MeasureProfile) -> float:
 
 def typicality(profile: MeasureProfile, p) -> float:
     """Measure-weighted fraction of points at most as dense as p (ties included)."""
-    total = _check_total(profile)
-    idx = profile.resolve(p)
-    mask = profile.density <= profile.density[idx]
-    return float(np.sum(profile.point_measures[mask]) / total)
+    return float(typicality_curves(profile)[0][profile.resolve(p)])
 
 
 def reversed_typicality(profile: MeasureProfile, p) -> float:
     """Measure-weighted fraction of points at least as dense as p (ties included)."""
-    total = _check_total(profile)
-    idx = profile.resolve(p)
-    mask = profile.density >= profile.density[idx]
-    return float(np.sum(profile.point_measures[mask]) / total)
+    return float(typicality_curves(profile)[1][profile.resolve(p)])
 
 
 def typicality_curves(profile: MeasureProfile):
     """Arrays (T, T_r, T_d) of the three typicalities at every point.
 
-    Computed by sorting once and accumulating tied groups, so plateaus get the
-    full two-sided counting semantics.
+    Built once per profile and cached on it: read-only, every value in [0, 1],
+    and plateaus get the full two-sided counting semantics.
     """
-    total = _check_total(profile)
-    m = profile.density
-    mu = profile.point_measures
-
-    def _leq_weights(values: np.ndarray) -> np.ndarray:
-        # weighted measure of {value' <= value}, ties collapsed via unique
-        uniq, inverse = np.unique(values, return_inverse=True)
-        sums = np.zeros(len(uniq))
-        np.add.at(sums, inverse, mu)
-        return np.cumsum(sums)[inverse]
-
-    t = _leq_weights(m) / total
-    # mu{m' >= m} = total - mu{m' < m} = total - (mu{m' <= m} - mu{m' == m})
-    uniq, inverse = np.unique(m, return_inverse=True)
-    sums = np.zeros(len(uniq))
-    np.add.at(sums, inverse, mu)
-    t_r = 1.0 - t + sums[inverse] / total
-    t_d = _leq_weights(np.minimum(t, t_r)) / total
-    return t, t_r, t_d
+    _check_total(profile)
+    return profile._curves
 
 
 def dual_typicality(profile: MeasureProfile, p) -> float:
     """Fraction of points whose min(T, T_r) is at most that of p."""
-    idx = profile.resolve(p)
-    t, t_r, t_d = typicality_curves(profile)
-    return float(t_d[idx])
+    return float(typicality_curves(profile)[2][profile.resolve(p)])
 
 
 def typicality_of_density(profile: MeasureProfile, density_value: float) -> float:

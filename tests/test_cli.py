@@ -226,6 +226,56 @@ def test_non_finite_config_value_exits_two(tmp_path, capsys):
     assert out == "" and err == "qpercept: invalid input: --theta must be finite, got nan\n"
 
 
+@pytest.mark.parametrize(
+    "config, argv, message",
+    [
+        ('{"grid": 2.5}', ["typicality", "--model", "circle", "--theta", "1", "--phi", "0"],
+         "config key 'grid' has invalid value 2.5"),
+        ('{"seed": "abc"}', ["flag", "--dim", "2", "--ranks", "1,1"],
+         "config key 'seed' has invalid value 'abc'"),
+        ('{"seed": true}', ["flag", "--dim", "2", "--ranks", "1,1"],
+         "config key 'seed' has invalid value True"),
+        ('{"bogus": 1}', ["reproduce", "--only", "digit"],
+         "config key 'bogus' is not an option of reproduce"),
+        ('{"theta": 1.0}', ["sqmn", "band"], "config key 'theta' is not an option of sqmn"),
+        ('{"format": "xml"}', ["sqmn", "band"], "config key 'format' must be one of json, csv"),
+        ('[1, 2]', ["sqmn", "band"], "config file must hold a JSON object of option values"),
+        ('{"floor": ', ["sqmn", "band"], "cannot read config file"),
+    ],
+)
+def test_bad_config_values_exit_two(config, argv, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    assert cli.main(["--config", str(cfg), *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"qpercept: invalid input: {message}")
+
+
+def test_config_values_parse_like_the_command_line(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"theta": "0.7", "phi": 0.3, "grid": "11", "format": "json"}')
+    assert cli.main(["--config", str(cfg), "typicality", "--model", "circle", "--phi", "-0.3"]) == 0
+    from_config = json.loads(capsys.readouterr().out)
+    argv = ["typicality", "--model", "circle", "--theta", "0.7", "--phi", "-0.3", "--grid", "11"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out) == from_config
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--model", "circle", "--theta", "1", "--phi", "0"],
+        ["--model", "ball", "--u", "0.1", "--v", "0.2", "--w", "0.3"],
+    ],
+)
+@pytest.mark.parametrize("grid", ["-5", "0", "1"])
+def test_grid_below_two_exits_two(argv, grid, capsys):
+    assert cli.main(["typicality", *argv, f"--grid={grid}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"qpercept: invalid input: --grid must be at least 2, got {grid}\n"
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize(
     "argv",

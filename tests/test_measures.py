@@ -98,6 +98,35 @@ def test_build_profile_from_family_discrete():
     assert prof.total_measure == pytest.approx(1.0, abs=1e-10)
 
 
+def test_build_profile_on_labeled_space_looks_up_each_label(rng):
+    fam = ExperienceFamily(
+        tuple((label, Projector(random_projector(rng, 3, 1)), 1.0) for label in "abcde")
+    )
+    state = random_state(rng, 3)
+    space = PerceptionSpace.discrete(["d", "a", "e"], weights=[0.5, 2.0, 1.5])
+    prof = build_profile(state, fam, space)
+    assert prof.space is space
+    for k, label in enumerate(space.labels):
+        assert prof.density[k] == measure_density(state, fam.spec_for(label))
+    own = build_profile(state, fam)
+    assert own.space.labels == fam.labels
+    assert np.array_equal(own.space.weights, fam.weights)
+    with pytest.raises(KeyError) as exc:
+        build_profile(state, fam, PerceptionSpace.discrete(["a", "zz"]))
+    assert exc.value.args == ("zz",)
+
+
+def test_perception_space_rejects_duplicate_labels():
+    with pytest.raises(ValidationError, match="labels must be unique"):
+        PerceptionSpace.discrete(["a", "a"])
+    with pytest.raises(ValidationError, match="labels must be unique"):
+        PerceptionSpace.discrete([1, "1"])  # labels are compared as strings
+    space = PerceptionSpace.discrete(["a", "b", "c"])
+    assert [space.index_of(label) for label in "cab"] == [2, 0, 1]
+    with pytest.raises(KeyError):
+        space.index_of("z")
+
+
 def test_build_profile_sphere_total_measure():
     prof = sphere_profile(theta=0.9)
     assert prof.total_measure == pytest.approx(2 * math.pi, rel=1e-4)
@@ -239,6 +268,49 @@ def test_typicality_curves_match_pointwise_queries():
         assert t[idx] == pytest.approx(typicality(prof, idx), rel=1e-12)
         assert t_r[idx] == pytest.approx(reversed_typicality(prof, idx), rel=1e-12)
         assert t_d[idx] == pytest.approx(dual_typicality(prof, idx), rel=1e-12)
+
+
+@given(
+    points=st.lists(
+        st.tuples(
+            st.floats(1e-3, 1e3),
+            st.sampled_from([0.0, 0.0, 1 / 3, 0.5, 1.0, 1.0, 2.0, 7.25]),
+        ),
+        min_size=1,
+        max_size=60,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_typicality_engine_against_masked_sums(points):
+    weights, density = (np.array(column) for column in zip(*points))
+    labels = [f"x{i}" for i in range(len(points))]
+    prof = profile_from_density(PerceptionSpace.discrete(labels, weights), density)
+    if prof.total_measure == 0:
+        with pytest.raises(ZeroMeasure):
+            typicality_curves(prof)
+        return
+    curves = typicality_curves(prof)
+    assert typicality_curves(prof) is curves
+    t, t_r, t_d = curves
+    for curve in curves:
+        assert not curve.flags.writeable
+        assert np.all((curve >= 0.0) & (curve <= 1.0))
+    assert t.max() == 1.0
+    assert np.all(t + t_r >= 1.0 - 1e-12)
+    for i, label in enumerate(labels):
+        for p in (i, label):
+            assert typicality(prof, p) == t[i]
+            assert reversed_typicality(prof, p) == t_r[i]
+            assert dual_typicality(prof, p) == t_d[i]
+    # oracle: one masked sum per point over the pairwise total; T_d is checked
+    # against the returned min(T, T_r), since cross-ties (1/3 against 1 - 2/3)
+    # can round either way
+    mu, total = prof.point_measures, prof.total_measure
+    lowest = np.minimum(t, t_r)
+    for i in range(len(points)):
+        assert t[i] == pytest.approx(np.sum(mu[density <= density[i]]) / total, abs=1e-12)
+        assert t_r[i] == pytest.approx(np.sum(mu[density >= density[i]]) / total, abs=1e-12)
+        assert t_d[i] == pytest.approx(np.sum(mu[lowest <= lowest[i]]) / total, abs=1e-12)
 
 
 def test_dual_typicality_matches_continuum_identity():
