@@ -24,6 +24,8 @@ from .operators import State
 
 SEED_ENV_VAR = "QPERCEPT_SEED"
 DEFAULT_SEED = reproduce.DEFAULT_SEED
+# a 10^7-point circle grid peaks near 0.57 GB of resident memory
+MAX_GRID = 10**7
 
 
 def _round_floats(obj: Any) -> Any:
@@ -114,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=float)
     p.add_argument("--v", type=float)
     p.add_argument("--w", type=float)
-    p.add_argument("--grid", type=int, default=None, help="also cross-check on an n-point grid (circle)")
+    p.add_argument("--grid", type=int, default=None,
+                   help=f"circle only: also cross-check on an n-point grid, 2 <= n <= {MAX_GRID}")
 
     p = sub.add_parser("sqmn", help="power-law exponent statistics")
     common(p)
@@ -128,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("epr", help="paired-spin and divided-cat measures")
     common(p)
     p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--parts", type=int, default=None)
+    p.add_argument("--parts", type=int, default=None,
+                   help=f"divide the cat into 1 to {toymodels.MAX_PARTS} parts (default 2)")
 
     p = sub.add_parser("flag", help="sample a projector decomposition")
     common(p)
@@ -202,8 +206,13 @@ def _cmd_reproduce(args) -> tuple[dict, int]:
 
 
 def _cmd_typicality(args) -> tuple[dict, int]:
-    if args.grid is not None and args.grid < 2:
-        raise ValidationError(f"--grid must be at least 2, got {args.grid}")
+    if args.grid is not None:
+        if args.grid < 2:
+            raise ValidationError(f"--grid must be at least 2, got {args.grid}")
+        if args.grid > MAX_GRID:
+            raise ValidationError(f"--grid must be at most {MAX_GRID}, got {args.grid}")
+        if args.model != "circle":
+            raise ValidationError(f"--grid applies to --model circle only, not {args.model}")
     if args.model == "circle":
         _require(args, "theta", "phi")
         res = toymodels.circle_model(args.theta, args.phi)

@@ -3,7 +3,10 @@
 The exponent family raises every measure density to a power n (n = 1 is the
 unmodified theory, and 0**0 is taken as 1 so n = 0 degenerates to counting).
 For a unit gaussian density profile the typicalities, posteriors, and moments
-below have closed forms; every closed form is cross-checkable by quadrature.
+below have closed forms and need only `math`.  The dual-posterior integrals
+reduce by parts to incomplete gaussian moments (Abramowitz & Stegun ch. 7; see
+`_dual_integral`); quadrature of the defining integrals survives only as a
+test oracle.
 """
 from __future__ import annotations
 
@@ -14,7 +17,6 @@ from math import erf, erfc
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DegenerateInput, ValidationError, ZeroMeasure
 
@@ -131,15 +133,32 @@ def averaged_posterior(n: float) -> float:
     return (2.0 / math.pi) * (math.atan(1.0 / rn) - rn / (n + 1.0))
 
 
+def _dual_integral(k: int, x1: float) -> float:
+    """Integral of x^k erf(x) over [0, x1] plus x^k erfc(x) over [x1, inf), odd k.
+
+    At the crossover x1 this is I_k, the integral of x^k min(erf x, erfc x).
+    By parts, with j = (k+1)/2 and G_j, U_j the integrals of t^(2j) e^(-t^2)
+    below and above x1: (k+1) I_k = x1^(k+1) (erf x1 - erfc x1)
+    + (2/sqrt(pi)) (U_j - G_j).  G and U climb from j = 0 by the A&S recursion;
+    the upper tail only adds.
+    """
+    edge = math.exp(-x1 * x1) / 2
+    below = math.sqrt(math.pi) / 2 * erf(x1)
+    above = math.sqrt(math.pi) / 2 * erfc(x1)
+    for i in range(1, (k + 1) // 2 + 1):
+        term = x1 ** (2 * i - 1) * edge
+        below = (2 * i - 1) / 2 * below - term
+        above = (2 * i - 1) / 2 * above + term
+    boundary = x1 ** (k + 1) * (erf(x1) - erfc(x1))
+    return (boundary + 2 / math.sqrt(math.pi) * (above - below)) / (k + 1)
+
+
 @lru_cache(maxsize=1)
 def dual_normalization() -> tuple[float, float]:
     """Normalization N of the dual-typicality posterior and the crossover x1.
 
-    x1 solves erf(x) = erfc(x) = 1/2 (bisection to 1e-12).  1/N is the full
-    integral of p^2 min(erfc, erf) over the exponent, reduced by substitution
-    to 4 * integral of x*min(erf(x), erfc(x)); the closed form
-    1 + 2 x1^2 - 8 * integral_0^x1 x*erfc(x) dx agrees and is used as a
-    consistency guard.
+    x1 solves erf(x) = erfc(x) = 1/2 (bisection to 1e-12); substituting
+    x = sqrt(p^2 n / 2) turns 1/N into 4 I_1 (see `_dual_integral`).
     """
     lo, hi = 0.0, 1.0
     while hi - lo > 1e-12:
@@ -149,16 +168,7 @@ def dual_normalization() -> tuple[float, float]:
         else:
             hi = mid
     x1 = (lo + hi) / 2
-
-    below, _ = integrate.quad(lambda x: x * erf(x), 0.0, x1, epsabs=1e-13, epsrel=1e-13)
-    above, _ = integrate.quad(lambda x: x * erfc(x), x1, np.inf, epsabs=1e-13, epsrel=1e-13)
-    n_inv = 4.0 * (below + above)
-
-    tail_int, _ = integrate.quad(lambda x: x * erfc(x), 0.0, x1, epsabs=1e-13, epsrel=1e-13)
-    closed = 1.0 + 2.0 * x1 * x1 - 8.0 * tail_int
-    if abs(closed - n_inv) > 1e-9:
-        raise ValidationError("dual normalization quadratures disagree")
-    return 1.0 / n_inv, x1
+    return 1.0 / (4.0 * _dual_integral(1, x1)), x1
 
 
 def dual_posterior(p: float, n: float) -> float:
@@ -172,25 +182,14 @@ def dual_posterior(p: float, n: float) -> float:
     return norm * p * p * min(erfc(x), erf(x))
 
 
-def dual_posterior_moment(p: float, m: int, tail_split: float = 60.0) -> float:
-    """m-th moment of the dual posterior by adaptive quadrature.
-
-    The integrand decays like exp(-p^2 n / 2); the integral is split at the
-    crossover and again at p^2 n = tail_split where the remainder is
-    negligible at double precision.
-    """
+def dual_posterior_moment(p: float, m: int) -> float:
+    """m-th moment of the dual posterior: 4 N (2/p^2)^m I_(2m+1)."""
     if p == 0:
         raise DegenerateInput("p = 0 carries no information about the exponent")
-    _, x1 = dual_normalization()
-    crossover = 2.0 * x1 * x1 / (p * p)
-    split = tail_split / (p * p)
-    total = 0.0
-    for lo, hi in ((0.0, crossover), (crossover, split), (split, np.inf)):
-        val, _ = integrate.quad(
-            lambda n: n**m * dual_posterior(p, n), lo, hi, epsabs=1e-12, epsrel=1e-12, limit=200
-        )
-        total += val
-    return total
+    if m < 0 or int(m) != m:
+        raise ValidationError("moment order must be a nonnegative integer")
+    norm, x1 = dual_normalization()
+    return 4.0 * norm * (2.0 / (p * p)) ** m * _dual_integral(2 * int(m) + 1, x1)
 
 
 def bayes_update(hypotheses: HypothesisSet, observation) -> dict[str, float]:

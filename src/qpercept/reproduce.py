@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 
 from . import inference, toymodels
 from .measures import PerceptionSpace, profile_from_density, typicality_of_density
@@ -81,6 +80,10 @@ def linpos_check(seed: int = DEFAULT_SEED, samples: int = 1_000_000, shards: int
 
 
 def sqmn_checks() -> list[Check]:
+    # the two quadrature checks are the only users of scipy, which costs most
+    # of a cold start; importing it here keeps it off every other command
+    from scipy import integrate
+
     norm, x1 = inference.dual_normalization()
     checks = [
         Check("dual-normalization-inverse", 0.857348, 1.0 / norm, 1e-5),

@@ -396,9 +396,16 @@ class EprCatReport:
         return _unconfused_fraction(parts)
 
 
+# the loop builds 2^parts Kronecker products of 2^parts x 2^parts matrices:
+# 10 parts take about 40 s, and 22 would ask for 128 TiB
+MAX_PARTS = 10
+
+
 def _unconfused_fraction(parts: int) -> float:
     if parts < 1 or int(parts) != parts:
         raise ValidationError("the cat must be divided into a positive number of parts")
+    if parts > MAX_PARTS:
+        raise ValidationError(f"the cat can be divided into at most {MAX_PARTS} parts, got {parts}")
     alive = np.zeros(2**parts)
     alive[0] = 1.0
     dead = np.zeros(2**parts)

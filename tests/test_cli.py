@@ -1,12 +1,15 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from qpercept import cli
+from qpercept import cli, inference, toymodels
+from qpercept.errors import ValidationError
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -14,29 +17,49 @@ REPO = Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((REPO / "schemas" / "cli_output.schema.json").read_text())
 
 
-def run_cli(*args, env_seed=None, check=True):
-    import os
-
+def _subprocess_env():
     env = dict(os.environ)
     env.pop("QPERCEPT_SEED", None)
-    if env_seed is not None:
-        env["QPERCEPT_SEED"] = str(env_seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def run_cli_subprocess(*args, check=True):
+    """`python -m qpercept.cli` in a fresh interpreter; kept for the smoke tests."""
     proc = subprocess.run(
         [sys.executable, "-m", "qpercept.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=_subprocess_env(),
     )
     if check and proc.returncode not in (0, 1):
         raise AssertionError(f"exit {proc.returncode}: {proc.stderr}")
     return proc
 
 
+@pytest.fixture
+def run_cli(capsys, monkeypatch):
+    """cli.main in process, returning what a subprocess would show."""
+
+    def run(*args, env_seed=None, check=True):
+        if env_seed is None:
+            monkeypatch.delenv("QPERCEPT_SEED", raising=False)
+        else:
+            monkeypatch.setenv("QPERCEPT_SEED", str(env_seed))
+        code = cli.main(list(args))
+        out, err = capsys.readouterr()
+        if check and code not in (0, 1):
+            raise AssertionError(f"exit {code}: {err}")
+        return SimpleNamespace(returncode=code, stdout=out, stderr=err)
+
+    return run
+
+
 def validate(payload):
     jsonschema.validate(payload, SCHEMA)
 
 
-def test_typicality_circle_command():
+def test_typicality_circle_command(run_cli):
     proc = run_cli(
         "typicality", "--model", "circle",
         "--theta", "1.5707963", "--phi", "2.6179939", "--grid", "100001",
@@ -50,7 +73,7 @@ def test_typicality_circle_command():
     )
 
 
-def test_typicality_sphere_and_ball_commands():
+def test_typicality_sphere_and_ball_commands(run_cli):
     sphere = json.loads(
         run_cli(
             "typicality",
@@ -74,13 +97,13 @@ def test_typicality_sphere_and_ball_commands():
 
 
 def test_sqmn_band_command():
-    payload = json.loads(run_cli("sqmn", "band").stdout)
+    payload = json.loads(run_cli_subprocess("sqmn", "band").stdout)
     validate(payload)
     assert payload["results"]["low"] == pytest.approx(0.0062666117, abs=1e-8)
     assert payload["results"]["high"] == pytest.approx(2.8070337683, abs=1e-8)
 
 
-def test_sqmn_moments_and_experiment():
+def test_sqmn_moments_and_experiment(run_cli):
     moments = json.loads(run_cli("sqmn", "moments", "--p", "1.0").stdout)
     validate(moments)
     assert moments["results"]["mean"] == pytest.approx(1.5, abs=1e-9)
@@ -90,7 +113,7 @@ def test_sqmn_moments_and_experiment():
     assert exp["results"]["confidence_bound"] == pytest.approx(0.4989, abs=1e-3)
 
 
-def test_epr_command():
+def test_epr_command(run_cli):
     payload = json.loads(run_cli("epr", "--theta", str(math.pi / 2), "--parts", "3").stdout)
     validate(payload)
     res = payload["results"]
@@ -98,7 +121,7 @@ def test_epr_command():
     assert res["unconfused_fraction_alternative"] == 0.25
 
 
-def test_flag_command_and_schema():
+def test_flag_command_and_schema(run_cli):
     proc = run_cli("flag", "--dim", "4", "--ranks", "2,1,1", "--seed", "7")
     payload = json.loads(proc.stdout)
     validate(payload)
@@ -108,7 +131,7 @@ def test_flag_command_and_schema():
     assert dens == pytest.approx([0.5, 0.25, 0.25], abs=1e-9)
 
 
-def test_twostep_pointwise_command():
+def test_twostep_pointwise_command(run_cli):
     payload = json.loads(
         run_cli(
             "twostep",
@@ -122,7 +145,7 @@ def test_twostep_pointwise_command():
     assert payload["results"]["triangle_status"] == "ok"
 
 
-def test_twostep_mc_determinism_and_env_seed():
+def test_twostep_mc_determinism_and_env_seed(run_cli):
     a = run_cli("twostep", "--mc", "20000", "--seed", "11")
     b = run_cli("twostep", "--mc", "20000", "--seed", "11")
     assert a.stdout == b.stdout  # byte identical
@@ -135,7 +158,7 @@ def test_twostep_mc_determinism_and_env_seed():
     assert different.stdout != a.stdout
 
 
-def test_reproduce_fast_subset_and_formats(tmp_path):
+def test_reproduce_fast_subset_and_formats(tmp_path, run_cli):
     proc = run_cli("reproduce", "--only", "digit")
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
@@ -155,7 +178,7 @@ def test_reproduce_fast_subset_and_formats(tmp_path):
 
 
 def test_reproduce_known_reference_discrepancies():
-    proc = run_cli("reproduce", "--only", "band")
+    proc = run_cli_subprocess("reproduce", "--only", "band")
     assert proc.returncode == 1
     payload = json.loads(proc.stdout)
     validate(payload)
@@ -166,7 +189,7 @@ def test_reproduce_known_reference_discrepancies():
     assert "transposed" in by_name["band-high"]["note"]
 
 
-def test_config_file_presets(tmp_path):
+def test_config_file_presets(tmp_path, run_cli):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"format": "csv", "only": "digit"}))
     proc = run_cli("--config", str(cfg), "reproduce")
@@ -177,14 +200,14 @@ def test_config_file_presets(tmp_path):
 
 
 def test_usage_errors_exit_two():
-    proc = run_cli("typicality", "--model", "circle", check=False)  # missing angles
+    proc = run_cli_subprocess("typicality", "--model", "circle", check=False)  # missing angles
     assert proc.returncode == 2
     assert "missing required options" in proc.stderr
-    proc2 = run_cli("flag", "--dim", "3", "--ranks", "2,2", check=False)
+    proc2 = run_cli_subprocess("flag", "--dim", "3", "--ranks", "2,2", check=False)
     assert proc2.returncode == 2
 
 
-def test_computation_errors_exit_one():
+def test_computation_errors_exit_one(run_cli):
     # degenerate circle-model state is a computation-domain error
     proc = run_cli("typicality", "--model", "circle", "--theta", "0", "--phi", "1", check=False)
     assert proc.returncode == 1
@@ -274,6 +297,54 @@ def test_grid_below_two_exits_two(argv, grid, capsys):
     assert cli.main(["typicality", *argv, f"--grid={grid}"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"qpercept: invalid input: --grid must be at least 2, got {grid}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--model", "sphere", "--theta", "0.9", "--vartheta", "1.2", "--phi", "0.4"],
+        ["--model", "ball", "--u", "0.1", "--v", "0.2", "--w", "0.3"],
+    ],
+)
+def test_grid_outside_the_circle_model_exits_two(argv, capsys):
+    assert cli.main(["typicality", *argv, "--grid", "5"]) == 2
+    out, err = capsys.readouterr()
+    model = argv[1]
+    assert out == "" and err == f"qpercept: invalid input: --grid applies to --model circle only, not {model}\n"
+
+
+def test_grid_above_bound_exits_two(capsys):
+    argv = ["typicality", "--model", "circle", "--theta", "1", "--phi", "0"]
+    assert cli.main([*argv, f"--grid={cli.MAX_GRID + 1}"]) == 2
+    out, err = capsys.readouterr()
+    assert cli.MAX_GRID == 10**7
+    assert out == "" and err == "qpercept: invalid input: --grid must be at most 10000000, got 10000001\n"
+
+
+def test_epr_parts_above_bound_exits_two(capsys):
+    assert toymodels.MAX_PARTS == 10
+    with pytest.raises(ValidationError):
+        toymodels.epr_cat_model(0.0).unconfused_fraction_alternative(toymodels.MAX_PARTS + 1)
+    assert cli.main(["epr", "--theta", "0.3", "--parts", "11"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "qpercept: invalid input: the cat can be divided into at most 10 parts, got 11\n"
+
+
+def test_cold_cli_never_imports_scipy():
+    # scipy costs most of a cold start; only `reproduce` may load it
+    code = (
+        "import sys, qpercept.cli\n"
+        "assert 'scipy' not in sys.modules, 'import'\n"
+        "assert qpercept.cli.main(['sqmn', 'moments', '--p', '1.3']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'sqmn moments'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_subprocess_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["dual_mean"] == pytest.approx(
+        inference.dual_posterior_moment(1.3, 1), rel=1e-11
+    )
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -11,6 +11,7 @@ from qpercept.inference import (
     Hypothesis,
     HypothesisSet,
     PowerLawModel,
+    _dual_integral,
     averaged_posterior,
     bayes_update,
     canonical_digit_experiment,
@@ -178,6 +179,70 @@ def test_dual_posterior_normalized_and_moments():
     assert math.sqrt(second - mean * mean) == pytest.approx(1.686141, abs=1e-4)
     # moments scale as 1/p^2 per order
     assert dual_posterior_moment(2.0, 1) == pytest.approx(mean / 4.0, rel=1e-8)
+
+
+def test_dual_normalization_matches_parent_quadratures():
+    # the two quadrature routes to 1/N that the closed form replaced
+    norm, x1 = dual_normalization()
+    tol = dict(epsabs=1e-13, epsrel=1e-13)
+    below, _ = integrate.quad(lambda x: x * erf(x), 0.0, x1, **tol)
+    above, _ = integrate.quad(lambda x: x * erfc(x), x1, np.inf, **tol)
+    assert 4.0 * (below + above) == pytest.approx(1.0 / norm, rel=1e-12, abs=0)
+    head, _ = integrate.quad(lambda x: x * erfc(x), 0.0, x1, **tol)
+    assert 1.0 + 2.0 * x1 * x1 - 8.0 * head == pytest.approx(1.0 / norm, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 9])
+@pytest.mark.parametrize("split", [0.2, 0.476936, 1.0, 2.5])
+def test_dual_integral_is_the_split_integral(k, split):
+    # the closed form holds at any split point, not only at the crossover
+    below, _ = integrate.quad(lambda x: x**k * erf(x), 0.0, split, epsabs=0, epsrel=1e-13)
+    above, _ = integrate.quad(lambda x: x**k * erfc(x), split, np.inf, epsabs=0, epsrel=1e-13)
+    assert _dual_integral(k, split) == pytest.approx(below + above, rel=1e-12, abs=0)
+
+
+def quadrature_dual_moment(p, m):
+    """The three-piece quadrature dual_posterior_moment used before its closed form.
+
+    Split at the crossover and at p^2 n = 60; epsabs=0 so that tiny high-order
+    moments at large p are held to the relative tolerance too.
+    """
+    _, x1 = dual_normalization()
+    crossover, split = 2.0 * x1 * x1 / (p * p), 60.0 / (p * p)
+    total = 0.0
+    for lo, hi in ((0.0, crossover), (crossover, split), (split, np.inf)):
+        val, _ = integrate.quad(
+            lambda n: n**m * dual_posterior(p, n), lo, hi, epsabs=0, epsrel=1e-12, limit=200
+        )
+        total += val
+    return total
+
+
+@given(p=st.floats(min_value=0.05, max_value=20), m=st.integers(min_value=0, max_value=4))
+@settings(max_examples=60, deadline=None)
+def test_dual_posterior_moment_matches_quadrature(p, m):
+    assert dual_posterior_moment(p, m) == pytest.approx(quadrature_dual_moment(p, m), rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("p", [0.05, 0.3, 1.0, 2.5, 20.0])
+def test_dual_posterior_moment_zero_is_one(p):
+    assert dual_posterior_moment(p, 0) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+def test_dual_posterior_moment_scales_as_p_to_minus_2m(m):
+    for p in (0.3, 2.5, 7.0):
+        assert dual_posterior_moment(p, m) * p ** (2 * m) == pytest.approx(
+            dual_posterior_moment(1.0, m), rel=1e-13
+        )
+
+
+@pytest.mark.parametrize("m", [-1, 0.5, 1.5, -0.25])
+def test_dual_posterior_moment_rejects_bad_order(m):
+    with pytest.raises(ValidationError):
+        dual_posterior_moment(1.0, m)
+    with pytest.raises(ValidationError):
+        posterior_moment(1.0, m)
 
 
 def test_dual_posterior_pointwise():
