@@ -26,6 +26,8 @@ SEED_ENV_VAR = "QPERCEPT_SEED"
 DEFAULT_SEED = reproduce.DEFAULT_SEED
 # a 10^7-point circle grid peaks near 0.57 GB of resident memory
 MAX_GRID = 10**7
+# 64 rank-1 blocks at dim 64 take 3.5 s and print 17 MB of JSON; 128 take 19 s and 137 MB
+MAX_DIM = 64
 
 
 def _round_floats(obj: Any) -> Any:
@@ -71,8 +73,11 @@ def _emit(report: dict, fmt: str, output: Optional[str]) -> None:
             writer.writerows(rows)
         text = buf.getvalue()
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write --output {output!r}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -136,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flag", help="sample a projector decomposition")
     common(p)
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=int, required=True, help=f"Hilbert-space dimension, at most {MAX_DIM}")
     p.add_argument("--ranks", required=True, help="comma-separated ranks, e.g. 2,1,1")
 
     p = sub.add_parser("twostep", help="two-step history decoherence diagnostics")
@@ -148,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta2", type=float)
     p.add_argument("--phi2", type=float)
     p.add_argument("--mc", type=int, default=None, help="Monte Carlo sample count")
-    p.add_argument("--shards", type=int, default=None)
+    p.add_argument("--shards", type=int, default=None, help="Monte Carlo shards, at most --mc")
     return parser
 
 
@@ -313,6 +318,8 @@ def _cmd_epr(args) -> tuple[dict, int]:
 
 
 def _cmd_flag(args) -> tuple[dict, int]:
+    if args.dim > MAX_DIM:
+        raise ValidationError(f"--dim must be at most {MAX_DIM}, got {args.dim}")
     try:
         ranks = tuple(int(r) for r in args.ranks.split(","))
     except ValueError as exc:

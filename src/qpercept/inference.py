@@ -11,6 +11,7 @@ test oracle.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import erf, erfc
@@ -221,6 +222,15 @@ def ranked_hypotheses(entries: list[tuple[str, Callable[[float], float]]]) -> Hy
     )
 
 
+def _digit_strings(k: int) -> int:
+    """10^k, refused before it is built when no float can hold it."""
+    if k < 1 or int(k) != k:
+        raise ValidationError("k must be a positive integer")
+    if k > sys.float_info.max_10_exp:
+        raise OverflowError(f"10^{k} digit strings exceed the float range (k <= {sys.float_info.max_10_exp})")
+    return 10 ** int(k)
+
+
 def digit_experiment(k: int, n1: int, n2: int, m1: float, m2: float, m3: float, n: float) -> float:
     """Conditional probability of perceiving the middle digit group.
 
@@ -230,11 +240,9 @@ def digit_experiment(k: int, n1: int, n2: int, m1: float, m2: float, m3: float, 
     m2^n n2 / (m1^n n1 + m2^n n2 + m3^n n3), independent of the overall scale
     of the m's.
     """
-    if k < 1 or int(k) != k:
-        raise ValidationError("k must be a positive integer")
+    total = _digit_strings(k)
     if n1 < 1 or n2 < 1 or int(n1) != n1 or int(n2) != n2:
         raise ValidationError("group sizes must be positive integers")
-    total = 10**int(k)
     n3 = total - int(n1) - int(n2)
     if n3 < 0:
         raise ValidationError("n1 + n2 exceeds the number of digit strings")
@@ -253,10 +261,10 @@ def canonical_digit_experiment(k: int, n: float) -> float:
     """Digit experiment with n1 = 1, n2 = 10^(k/2), and m_i = 1/n_i."""
     if k % 2 != 0:
         raise ValidationError("the canonical setup needs an even k")
-    n1 = 1
+    total = _digit_strings(k)
     n2 = 10 ** (k // 2)
-    n3 = 10**k - n1 - n2
-    return digit_experiment(k, n1, n2, 1.0, 1.0 / n2, 1.0 / n3, n)
+    n3 = total - 1 - n2
+    return digit_experiment(k, 1, n2, 1.0, 1.0 / n2, 1.0 / n3, n)
 
 
 def confidence_bound(k: int, level: float = 0.99) -> float:

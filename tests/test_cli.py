@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpercept import cli, inference, toymodels
 from qpercept.errors import ValidationError
@@ -322,12 +327,108 @@ def test_grid_above_bound_exits_two(capsys):
 
 
 def test_epr_parts_above_bound_exits_two(capsys):
-    assert toymodels.MAX_PARTS == 10
+    assert toymodels.MAX_PARTS == 1023
     with pytest.raises(ValidationError):
         toymodels.epr_cat_model(0.0).unconfused_fraction_alternative(toymodels.MAX_PARTS + 1)
-    assert cli.main(["epr", "--theta", "0.3", "--parts", "11"]) == 2
+    assert cli.main(["epr", "--theta", "0.3", "--parts", "1024"]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err == "qpercept: invalid input: the cat can be divided into at most 10 parts, got 11\n"
+    assert out == "" and err == "qpercept: invalid input: the cat can be divided into at most 1023 parts, got 1024\n"
+
+
+def test_epr_at_the_parts_bound_is_fast(capsys):
+    start = time.perf_counter()
+    assert cli.main(["epr", "--theta", "0.3", "--parts", "1023"]) == 0
+    elapsed = time.perf_counter() - start
+    payload = json.loads(capsys.readouterr().out)
+    validate(payload)
+    assert payload["results"]["unconfused_fraction_alternative"] == float(f"{2.0 ** -1022:.12g}")
+    assert elapsed < 1.0  # the closed form is O(parts); the Kronecker loop was O(4^parts)
+
+
+def test_flag_dim_above_bound_exits_two(capsys):
+    assert cli.MAX_DIM == 64
+    assert cli.main(["flag", "--dim", "65", "--ranks", ",".join(["1"] * 65)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "qpercept: invalid input: --dim must be at most 64, got 65\n"
+
+
+def test_twostep_more_shards_than_samples_exits_two(capsys):
+    assert cli.main(["twostep", "--mc", "10", "--shards", "11"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "qpercept: invalid input: need 1 to 10 shards for 10 samples, got 11\n"
+
+
+def test_output_into_missing_directory_exits_two(tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "x.json"
+    assert cli.main(["sqmn", "band", "--output", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and not target.exists()
+    assert err.startswith(f"qpercept: invalid input: cannot write --output {str(target)!r}: ")
+
+
+def test_experiment_digit_count_beyond_float_range_fails_fast(capsys):
+    start = time.perf_counter()
+    assert cli.main(["sqmn", "experiment", "--k", "10000000"]) == 1
+    assert time.perf_counter() - start < 0.5  # 10^k is refused before it is built
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("qpercept: computation failed: 10^10000000 digit strings exceed the float range")
+    assert cli.main(["sqmn", "experiment", "--k", "308"]) == 0
+    validate(json.loads(capsys.readouterr().out))
+
+
+def _main_captured(argv):
+    """cli.main in process without pytest fixtures, so hypothesis can call it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def _check_outcome(argv, in_range):
+    code, out, err = _main_captured(argv)
+    if in_range:
+        assert code == 0 and err == "", (argv, err)
+        validate(json.loads(out, parse_constant=_reject_constant))
+    else:
+        assert code in (1, 2) and out == "", (argv, code)
+        assert err.count("\n") == 1 and err.startswith("qpercept: "), (argv, err)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    theta=st.floats(min_value=-1.0, max_value=4.0),
+    parts=st.one_of(st.integers(-3, 20), st.integers(1000, 1100), st.integers(10**6, 10**18)),
+)
+def test_epr_property(theta, parts):
+    in_range = 0.0 <= theta <= math.pi and 1 <= parts <= toymodels.MAX_PARTS
+    # the --opt=value form, since argparse reads "-1e-05" after a space as an option
+    _check_outcome(["epr", f"--theta={theta!r}", f"--parts={parts}"], in_range)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.one_of(st.integers(-2, 8), st.integers(cli.MAX_DIM + 1, 10**9)),
+    ranks=st.one_of(st.none(), st.lists(st.integers(-1, 8), min_size=1, max_size=5)),
+)
+def test_flag_dim_property(dim, ranks):
+    # ranks=None splits an in-range dim into rank-one blocks, a valid partition
+    if ranks is None:
+        ranks = [1] * dim if 1 <= dim <= cli.MAX_DIM else [1]
+    in_range = 1 <= dim <= cli.MAX_DIM and min(ranks) >= 1 and sum(ranks) == dim
+    argv = ["flag", f"--dim={dim}", f"--ranks={','.join(map(str, ranks))}", "--seed", "7"]
+    _check_outcome(argv, in_range)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.one_of(st.integers(-4, 320), st.integers(10**3, 10**8)))
+def test_experiment_k_property(k):
+    in_range = k % 2 == 0 and 1 <= k <= sys.float_info.max_10_exp
+    _check_outcome(["sqmn", "experiment", f"--k={k}"], in_range)
 
 
 def test_cold_cli_never_imports_scipy():

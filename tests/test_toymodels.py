@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpercept import toymodels
 from qpercept.errors import DegenerateInput, ValidationError
 from qpercept.hypotheses import realize
 from qpercept.measures import PerceptionSpace, profile_from_density, typicality_of_density
@@ -217,6 +218,12 @@ def test_linear_positivity_deterministic_and_sharded():
     assert c.fraction == d.fraction
 
 
+def test_linear_positivity_rejects_more_shards_than_samples():
+    assert linear_positivity_fraction(10, seed=9, shards=10).shard_count == 10
+    with pytest.raises(ValidationError, match="need 1 to 10 shards for 10 samples, got 11"):
+        linear_positivity_fraction(10, seed=9, shards=11)
+
+
 def _matrix_route_linpos(rho: State, q, r) -> bool:
     """Oracle: max(0, <Q+R-I>) <= Re <QR> <= min(<Q>, <R>) from the matrices."""
     exp_q = expectation(rho, q).real
@@ -344,6 +351,70 @@ def test_cat_confusion_measures():
         assert rep.unconfused_fraction_alternative(parts) == 2.0 ** (1 - parts)
     with pytest.raises(ValidationError):
         rep.unconfused_fraction_alternative(0)
+
+
+def _kronecker_unconfused_fraction(parts: int) -> float:
+    """Oracle: the 2^parts Kronecker loop that _cat_measure replaced."""
+    alive = np.zeros(2**parts)
+    alive[0] = 1.0
+    dead = np.zeros(2**parts)
+    dead[-1] = 1.0
+    rho = 0.5 * (np.outer(alive, alive) + np.outer(dead, dead))
+    plus, minus = toymodels._PLUS, toymodels._MINUS
+    total = 0.0
+    unconfused = 0.0
+    for pattern in range(2**parts):
+        proj = np.eye(1)
+        for bit_index in range(parts):
+            bit = (pattern >> (parts - 1 - bit_index)) & 1
+            proj = np.kron(proj, (minus if bit else plus).mat.real)
+        mu = float(np.trace(rho @ proj))
+        total += mu
+        if pattern == 0 or pattern == 2**parts - 1:
+            unconfused += mu
+    return unconfused / total
+
+
+def _kron_cat_measure(factors) -> float:
+    """Oracle: Tr(rho P_1 (x) ... (x) P_n) with rho the n-part cat state, built densely."""
+    n = len(factors)
+    rho = np.zeros((2**n, 2**n))
+    rho[0, 0] = rho[-1, -1] = 0.5
+    proj = np.eye(1)
+    for p in factors:
+        proj = np.kron(proj, p.mat)
+    return float(np.trace(rho @ proj).real)
+
+
+@pytest.mark.parametrize("parts", range(1, 8))
+def test_unconfused_fraction_matches_kronecker_oracle(parts):
+    assert toymodels._unconfused_fraction(parts) == _kronecker_unconfused_fraction(parts)
+
+
+def test_unconfused_fraction_is_exact_up_to_the_bound():
+    rep = epr_cat_model(0.4)
+    for parts in range(1, toymodels.MAX_PARTS + 1):
+        assert rep.unconfused_fraction_alternative(parts) == 2.0 ** (1 - parts)
+    # the bound is the last part count whose fraction is a normal double
+    assert 2.0 ** (1 - toymodels.MAX_PARTS) == np.finfo(float).tiny
+    with pytest.raises(ValidationError):
+        rep.unconfused_fraction_alternative(toymodels.MAX_PARTS + 1)
+
+
+def test_confused_original_matches_kronecker_oracle():
+    p0, p1, i2 = toymodels._P0.mat, toymodels._P1.mat, np.eye(2, dtype=complex)
+    # spin (x) head (x) body; spin up pairs with both alive, down with both dead
+    rho = 0.5 * (np.kron(p0, np.kron(p0, p0)) + np.kron(p1, np.kron(p1, p1)))
+    disagree = np.kron(i2, np.kron(p0, p1)) + np.kron(i2, np.kron(p1, p0))
+    assert toymodels._confused_original() == float(np.trace(rho @ disagree).real) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(polar, azimuth), min_size=1, max_size=5))
+def test_cat_measure_matches_dense_trace(angles):
+    # random Bloch projectors have unequal diagonals, so a swapped index shows
+    factors = [bloch_projector(t, p) for t, p in angles]
+    assert toymodels._cat_measure(factors) == pytest.approx(_kron_cat_measure(factors), abs=1e-12)
 
 
 def test_direction_validation():
