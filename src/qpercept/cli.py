@@ -4,7 +4,10 @@ parameterized analyses, emitting machine-readable JSON (default) or CSV.
 Output is deterministic: identical invocations with identical seeds produce
 byte-identical bytes (numbers are rounded to 12 significant digits and no
 timestamps are emitted).  Exit codes: 0 success, 1 computation or battery
-failure, 2 usage error.  Reports are strict JSON: a non-finite option is a
+failure, 2 usage error, argparse's own included, with one line on stderr.
+A token that starts like a negative number (`-1e-05`, `-inf`, `-.5`) is a
+value.  Required options are checked after `--config`, so a config file can
+preset every long option.  Reports are strict JSON: a non-finite option is a
 usage error, and a non-finite result is a computation failure.
 """
 from __future__ import annotations
@@ -15,6 +18,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from typing import Any, Optional
 
@@ -83,19 +87,37 @@ def _emit(report: dict, fmt: str, output: Optional[str]) -> None:
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return int(args.seed)
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    seed, env = args.seed, os.environ.get(SEED_ENV_VAR)
+    if seed is None and env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise ValidationError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    return DEFAULT_SEED
+    if seed is not None and seed < 0:
+        raise ValidationError(f"the seed must be nonnegative, got {seed}")
+    return DEFAULT_SEED if seed is None else seed
+
+
+# before 3.13 argparse takes only -\d+ and -\d*\.\d+ for negative numbers,
+# so "-1e-05" or "-inf" after a space would read as an unknown option
+_NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises ValidationError on usage errors; subparsers inherit the class."""
+
+    def error(self, message: str):
+        # argparse echoes unrecognized tokens verbatim, newlines included
+        raise ValidationError(message.replace("\n", "\\n"))
+
+    def _parse_optional(self, arg_string: str):
+        if _NEGATIVE_NUMBER.match(arg_string):
+            return None  # a value, not an option
+        return super()._parse_optional(arg_string)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qpercept",
         description="Perception-measure statistics for finite-dimensional quantum states.",
     )
@@ -114,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("typicality", help="toy-model densities and typicalities")
     common(p)
-    p.add_argument("--model", choices=["circle", "sphere", "ball"], required=True)
+    p.add_argument("--model", choices=["circle", "sphere", "ball"])
     p.add_argument("--theta", type=float, help="state polar angle")
     p.add_argument("--phi", type=float, help="perception azimuth")
     p.add_argument("--vartheta", type=float, help="perception polar angle (sphere model)")
@@ -135,14 +157,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("epr", help="paired-spin and divided-cat measures")
     common(p)
-    p.add_argument("--theta", type=float, required=True)
+    p.add_argument("--theta", type=float)
     p.add_argument("--parts", type=int, default=None,
                    help=f"divide the cat into 1 to {toymodels.MAX_PARTS} parts (default 2)")
 
     p = sub.add_parser("flag", help="sample a projector decomposition")
     common(p)
-    p.add_argument("--dim", type=int, required=True, help=f"Hilbert-space dimension, at most {MAX_DIM}")
-    p.add_argument("--ranks", required=True, help="comma-separated ranks, e.g. 2,1,1")
+    p.add_argument("--dim", type=int, help=f"Hilbert-space dimension, at most {MAX_DIM}")
+    p.add_argument("--ranks", help="comma-separated ranks, e.g. 2,1,1")
 
     p = sub.add_parser("twostep", help="two-step history decoherence diagnostics")
     common(p)
@@ -185,10 +207,13 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
             setattr(args, action.dest, value)
 
 
-def _require(args: argparse.Namespace, *names: str) -> None:
-    missing = [n for n in names if getattr(args, n) is None]
+def _require(args: argparse.Namespace, *names: str) -> dict:
+    """The named options as {name: value}, in order; a usage error if any is unset."""
+    values = {n: getattr(args, n) for n in names}
+    missing = [n for n, v in values.items() if v is None]
     if missing:
         raise ValidationError(f"missing required options: {', '.join('--' + m for m in missing)}")
+    return values
 
 
 def _cmd_reproduce(args) -> tuple[dict, int]:
@@ -211,6 +236,7 @@ def _cmd_reproduce(args) -> tuple[dict, int]:
 
 
 def _cmd_typicality(args) -> tuple[dict, int]:
+    _require(args, "model")
     if args.grid is not None:
         if args.grid < 2:
             raise ValidationError(f"--grid must be at least 2, got {args.grid}")
@@ -219,7 +245,7 @@ def _cmd_typicality(args) -> tuple[dict, int]:
         if args.model != "circle":
             raise ValidationError(f"--grid applies to --model circle only, not {args.model}")
     if args.model == "circle":
-        _require(args, "theta", "phi")
+        params = _require(args, "model", "theta", "phi")
         res = toymodels.circle_model(args.theta, args.phi)
         results = {
             "density": res.density,
@@ -231,36 +257,28 @@ def _cmd_typicality(args) -> tuple[dict, int]:
             results["grid_typicality"] = reproduce.circle_grid_typicality(
                 args.theta, args.phi, points=args.grid
             )
-        params = {"model": "circle", "theta": args.theta, "phi": args.phi}
     elif args.model == "sphere":
-        _require(args, "theta", "vartheta", "phi")
+        params = _require(args, "model", "theta", "vartheta", "phi")
         res = toymodels.sphere_model(args.theta, args.vartheta, args.phi)
         results = {
             "density": res.density,
             "typicality": res.typicality,
             "cold_probability": res.cold_probability,
         }
-        params = {
-            "model": "sphere",
-            "theta": args.theta,
-            "vartheta": args.vartheta,
-            "phi": args.phi,
-        }
     else:
-        _require(args, "u", "v", "w")
+        params = _require(args, "model", "u", "v", "w")
         state = State.pure([1.0, 0.0])
         density = toymodels.ball_model_density(state, args.u, args.v, args.w)
         results = {
             "density": density,
             "prior_weight": toymodels.ball_prior_weight(args.u, args.v, args.w),
         }
-        params = {"model": "ball", "u": args.u, "v": args.v, "w": args.w}
     return {"command": "typicality", "params": params, "results": results}, 0
 
 
 def _cmd_sqmn(args) -> tuple[dict, int]:
     if args.sub == "posterior":
-        _require(args, "p", "n")
+        params = _require(args, "sub", "p", "n")
         results = {
             "posterior_density": inference.posterior_density(args.p, args.n),
             "dual_posterior_density": inference.dual_posterior(args.p, args.n),
@@ -268,9 +286,8 @@ def _cmd_sqmn(args) -> tuple[dict, int]:
             "reversed_typicality": inference.gaussian_reversed(args.n, args.p),
             "dual_typicality": inference.gaussian_dual(args.n, args.p),
         }
-        params = {"sub": "posterior", "p": args.p, "n": args.n}
     elif args.sub == "moments":
-        _require(args, "p")
+        params = _require(args, "sub", "p")
         mean = inference.posterior_moment(args.p, 1)
         second = inference.posterior_moment(args.p, 2)
         dual_mean = inference.dual_posterior_moment(args.p, 1)
@@ -281,27 +298,26 @@ def _cmd_sqmn(args) -> tuple[dict, int]:
             "dual_mean": dual_mean,
             "dual_std": math.sqrt(dual_second - dual_mean * dual_mean),
         }
-        params = {"sub": "moments", "p": args.p}
     elif args.sub == "band":
         floor = 0.01 if args.floor is None else args.floor
         low, high = inference.gaussian_99_band(floor)
         results = {"low": low, "high": high, "dual_floor": floor}
         params = {"sub": "band", "floor": floor}
     else:
-        _require(args, "k")
-        n = 1.0 if args.n is None else args.n
+        params = _require(args, "sub", "k")
+        n = params["n"] = 1.0 if args.n is None else args.n
         level = 0.99 if args.level is None else args.level
         results = {
             "probability": inference.canonical_digit_experiment(args.k, n),
             "confidence_bound": inference.confidence_bound(args.k, level),
             "level": level,
         }
-        params = {"sub": "experiment", "k": args.k, "n": n}
     return {"command": "sqmn", "params": params, "results": results}, 0
 
 
 def _cmd_epr(args) -> tuple[dict, int]:
-    parts = 2 if args.parts is None else args.parts
+    params = _require(args, "theta")
+    parts = params["parts"] = 2 if args.parts is None else args.parts
     rep = toymodels.epr_cat_model(args.theta)
     results = {
         "mu_up_a": rep.mu_up_a,
@@ -314,14 +330,15 @@ def _cmd_epr(args) -> tuple[dict, int]:
         "unconfused_fraction_alternative": rep.unconfused_fraction_alternative(parts),
         "parts": parts,
     }
-    return {"command": "epr", "params": {"theta": args.theta, "parts": parts}, "results": results}, 0
+    return {"command": "epr", "params": params, "results": results}, 0
 
 
 def _cmd_flag(args) -> tuple[dict, int]:
+    params = _require(args, "dim", "ranks")
     if args.dim > MAX_DIM:
         raise ValidationError(f"--dim must be at most {MAX_DIM}, got {args.dim}")
     try:
-        ranks = tuple(int(r) for r in args.ranks.split(","))
+        ranks = params["ranks"] = tuple(int(r) for r in args.ranks.split(","))
     except ValueError as exc:
         raise ValidationError(f"could not parse ranks {args.ranks!r}") from exc
     seed = _resolve_seed(args)
@@ -334,7 +351,7 @@ def _cmd_flag(args) -> tuple[dict, int]:
     }
     report = {
         "command": "flag",
-        "params": {"dim": args.dim, "ranks": list(ranks)},
+        "params": params,
         "results": results,
         "provenance": {"seed": seed},
     }
@@ -353,17 +370,10 @@ def _cmd_twostep(args) -> tuple[dict, int]:
             "provenance": mc.provenance(),
         }
         return report, 0
-    _require(args, "theta0", "phi0", "theta1", "phi1", "theta2", "phi2")
-    rep = toymodels.two_step_analysis(
-        toymodels.Direction(args.theta0, args.phi0),
-        toymodels.Direction(args.theta1, args.phi1),
-        toymodels.Direction(args.theta2, args.phi2),
-    )
-    tri = toymodels.triangle_equivalence(
-        toymodels.Direction(args.theta0, args.phi0),
-        toymodels.Direction(args.theta1, args.phi1),
-        toymodels.Direction(args.theta2, args.phi2),
-    )
+    params = _require(args, "theta0", "phi0", "theta1", "phi1", "theta2", "phi2")
+    directions = [toymodels.Direction(params[f"theta{i}"], params[f"phi{i}"]) for i in range(3)]
+    rep = toymodels.two_step_analysis(*directions)
+    tri = toymodels.triangle_equivalence(*directions)
     results = {
         "weak_residual": rep.weak_residual,
         "medium_residual": rep.medium_residual,
@@ -371,14 +381,6 @@ def _cmd_twostep(args) -> tuple[dict, int]:
         "measures": list(rep.measures),
         "triangle_status": tri.status,
         "all_triangles_sub_pi": tri.all_triangles_sub_pi,
-    }
-    params = {
-        "theta0": args.theta0,
-        "phi0": args.phi0,
-        "theta1": args.theta1,
-        "phi1": args.phi1,
-        "theta2": args.theta2,
-        "phi2": args.phi2,
     }
     return {"command": "twostep", "params": params, "results": results}, 0
 
@@ -395,8 +397,8 @@ _HANDLERS = {
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         _apply_config(parser, args)
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):

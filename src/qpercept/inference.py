@@ -154,6 +154,17 @@ def _dual_integral(k: int, x1: float) -> float:
     return (boundary + 2 / math.sqrt(math.pi) * (above - below)) / (k + 1)
 
 
+def _bisect(below: Callable[[float], bool], lo: float, hi: float, tol: float) -> float:
+    """Midpoint of [lo, hi] once halved below tol; below(x) says the root lies above x."""
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
 @lru_cache(maxsize=1)
 def dual_normalization() -> tuple[float, float]:
     """Normalization N of the dual-typicality posterior and the crossover x1.
@@ -161,14 +172,7 @@ def dual_normalization() -> tuple[float, float]:
     x1 solves erf(x) = erfc(x) = 1/2 (bisection to 1e-12); substituting
     x = sqrt(p^2 n / 2) turns 1/N into 4 I_1 (see `_dual_integral`).
     """
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-12:
-        mid = (lo + hi) / 2
-        if erf(mid) < 0.5:
-            lo = mid
-        else:
-            hi = mid
-    x1 = (lo + hi) / 2
+    x1 = _bisect(lambda x: erf(x) < 0.5, 0.0, 1.0, 1e-12)
     return 1.0 / (4.0 * _dual_integral(1, x1)), x1
 
 
@@ -289,14 +293,7 @@ def confidence_bound(k: int, level: float = 0.99) -> float:
     hi = 1.0
     while prob(hi) > threshold:
         hi *= 2
-    lo = 0.0
-    while hi - lo > 1e-12:
-        mid = (lo + hi) / 2
-        if prob(mid) > threshold:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+    return _bisect(lambda b: prob(b) > threshold, 0.0, hi, 1e-12)
 
 
 def gaussian_99_band(dual_floor: float = 0.01) -> tuple[float, float]:
@@ -309,17 +306,7 @@ def gaussian_99_band(dual_floor: float = 0.01) -> tuple[float, float]:
     """
     if not 0 < dual_floor < 1:
         raise ValidationError("dual_floor must be inside (0, 1)")
-
-    def solve(target: float, lo: float, hi: float) -> float:
-        # erfc(x / sqrt 2) is decreasing in x
-        while hi - lo > 1e-10:
-            mid = (lo + hi) / 2
-            if erfc(mid / math.sqrt(2)) > target:
-                lo = mid
-            else:
-                hi = mid
-        return (lo + hi) / 2
-
-    low = solve(1.0 - dual_floor / 2, 0.0, 1.0)
-    high = solve(dual_floor / 2, 1.0, 10.0)
+    # erfc(x / sqrt 2) is decreasing in x
+    low = _bisect(lambda x: erfc(x / math.sqrt(2)) > 1.0 - dual_floor / 2, 0.0, 1.0, 1e-10)
+    high = _bisect(lambda x: erfc(x / math.sqrt(2)) > dual_floor / 2, 1.0, 10.0, 1e-10)
     return low, high

@@ -118,12 +118,7 @@ class State:
         """Pure two-state density matrix pointing along (polar, azimuth)."""
         return cls(bloch_projector(polar, azimuth).mat)
 
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "re": self.mat.real.tolist(),
-            "im": self.mat.imag.tolist(),
-        }
+    to_json = Operator.to_json
 
     @classmethod
     def from_json(cls, data: dict) -> "State":

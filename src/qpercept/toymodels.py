@@ -264,6 +264,10 @@ class MonteCarloFraction:
         return {"seed": self.seed, "samples": self.samples, "shardCount": self.shard_count}
 
 
+# a shard holds all of its samples at about 106 B each, so 10^7 is near 1.1 GB
+MAX_SHARD_SAMPLES = 10**7
+
+
 def linear_positivity_fraction(
     samples: int,
     seed: int,
@@ -276,6 +280,9 @@ def linear_positivity_fraction(
         raise ValidationError("need at least one sample")
     if not 1 <= shards <= samples:
         raise ValidationError(f"need 1 to {samples} shards for {samples} samples, got {shards}")
+    if -(-samples // shards) > MAX_SHARD_SAMPLES:
+        need = -(-samples // MAX_SHARD_SAMPLES)
+        raise ValidationError(f"a shard holds at most {MAX_SHARD_SAMPLES} samples: use --shards {need} or more")
     a = state_dir.unit_vector()
     base = samples // shards
     sizes = [base + (1 if i < samples % shards else 0) for i in range(shards)]

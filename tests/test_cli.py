@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -205,11 +206,10 @@ def test_config_file_presets(tmp_path, run_cli):
 
 
 def test_usage_errors_exit_two():
-    proc = run_cli_subprocess("typicality", "--model", "circle", check=False)  # missing angles
-    assert proc.returncode == 2
-    assert "missing required options" in proc.stderr
-    proc2 = run_cli_subprocess("flag", "--dim", "3", "--ranks", "2,2", check=False)
-    assert proc2.returncode == 2
+    # argparse's own usage block and exit used to bypass the one-line message
+    proc = run_cli_subprocess("epr", check=False)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "qpercept: invalid input: missing required options: --theta\n"
 
 
 def test_computation_errors_exit_one(run_cli):
@@ -225,7 +225,7 @@ def test_computation_errors_exit_one(run_cli):
     "argv, option",
     [
         (["typicality", "--model", "circle", "--theta", "nan", "--phi", "0.3"], "--theta"),
-        (["typicality", "--model", "circle", "--theta", "1.2", "--phi=-inf"], "--phi"),
+        (["typicality", "--model", "circle", "--theta", "1.2", "--phi", "-inf"], "--phi"),
         (["typicality", "--model", "ball", "--u", "nan", "--v", "0", "--w", "0"], "--u"),
         (["typicality", "--model", "sphere", "--theta", "0.9", "--vartheta", "inf", "--phi", "0"],
          "--vartheta"),
@@ -299,7 +299,7 @@ def test_config_values_parse_like_the_command_line(tmp_path, capsys):
 )
 @pytest.mark.parametrize("grid", ["-5", "0", "1"])
 def test_grid_below_two_exits_two(argv, grid, capsys):
-    assert cli.main(["typicality", *argv, f"--grid={grid}"]) == 2
+    assert cli.main(["typicality", *argv, "--grid", grid]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"qpercept: invalid input: --grid must be at least 2, got {grid}\n"
 
@@ -320,7 +320,7 @@ def test_grid_outside_the_circle_model_exits_two(argv, capsys):
 
 def test_grid_above_bound_exits_two(capsys):
     argv = ["typicality", "--model", "circle", "--theta", "1", "--phi", "0"]
-    assert cli.main([*argv, f"--grid={cli.MAX_GRID + 1}"]) == 2
+    assert cli.main([*argv, "--grid", str(cli.MAX_GRID + 1)]) == 2
     out, err = capsys.readouterr()
     assert cli.MAX_GRID == 10**7
     assert out == "" and err == "qpercept: invalid input: --grid must be at most 10000000, got 10000001\n"
@@ -389,8 +389,11 @@ def _reject_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
 
 
-def _check_outcome(argv, in_range):
+def _check_outcome(argv, in_range=None):
+    """in_range says whether argv must succeed; None accepts either outcome."""
     code, out, err = _main_captured(argv)
+    if in_range is None:
+        in_range = code == 0
     if in_range:
         assert code == 0 and err == "", (argv, err)
         validate(json.loads(out, parse_constant=_reject_constant))
@@ -406,8 +409,7 @@ def _check_outcome(argv, in_range):
 )
 def test_epr_property(theta, parts):
     in_range = 0.0 <= theta <= math.pi and 1 <= parts <= toymodels.MAX_PARTS
-    # the --opt=value form, since argparse reads "-1e-05" after a space as an option
-    _check_outcome(["epr", f"--theta={theta!r}", f"--parts={parts}"], in_range)
+    _check_outcome(["epr", "--theta", repr(theta), "--parts", str(parts)], in_range)
 
 
 @settings(max_examples=60, deadline=None)
@@ -420,7 +422,7 @@ def test_flag_dim_property(dim, ranks):
     if ranks is None:
         ranks = [1] * dim if 1 <= dim <= cli.MAX_DIM else [1]
     in_range = 1 <= dim <= cli.MAX_DIM and min(ranks) >= 1 and sum(ranks) == dim
-    argv = ["flag", f"--dim={dim}", f"--ranks={','.join(map(str, ranks))}", "--seed", "7"]
+    argv = ["flag", "--dim", str(dim), "--ranks", ",".join(map(str, ranks)), "--seed", "7"]
     _check_outcome(argv, in_range)
 
 
@@ -428,7 +430,7 @@ def test_flag_dim_property(dim, ranks):
 @given(k=st.one_of(st.integers(-4, 320), st.integers(10**3, 10**8)))
 def test_experiment_k_property(k):
     in_range = k % 2 == 0 and 1 <= k <= sys.float_info.max_10_exp
-    _check_outcome(["sqmn", "experiment", f"--k={k}"], in_range)
+    _check_outcome(["sqmn", "experiment", "--k", str(k)], in_range)
 
 
 def test_cold_cli_never_imports_scipy():
@@ -464,3 +466,133 @@ def test_non_finite_results_exit_one(argv, fmt, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and not target.exists()
     assert err.startswith("qpercept: computation failed: ") and err.count("\n") == 1
+
+
+# --- one usage-error path: argparse errors, required options, config presets ---
+
+
+_SUBPARSERS = next(
+    a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+).choices
+# tokens in the notations argparse may mistake for options, plus ones no option accepts
+_VALUE_TOKENS = ["-1e-05", "-inf", "nan", "2.5", "abc", "-1", "3", "0.7"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        ([], "the following arguments are required: command"),
+        (["sqmn"], "the following arguments are required: sub"),
+        (["typicality", "--model", "cube"], "argument --model: invalid choice: 'cube'"),
+        (["epr", "--theta", "1", "--parts", "2.5"], "argument --parts: invalid int value: '2.5'"),
+        (["epr", "--theta"], "argument --theta: expected one argument"),
+        (["epr", "--theta", "1", "--bogus"], "unrecognized arguments: --bogus"),
+        (["epr", "--theta", "1", "a\nb"], "unrecognized arguments: a\\nb"),
+        (["typicality", "--model", "circle"], "missing required options: --theta, --phi"),
+        (["flag", "--dim", "3", "--ranks", "2,2"], "ranks (2, 2) do not partition dim 3"),
+        (["flag"], "missing required options: --dim, --ranks"),
+        (["typicality", "--theta", "1"], "missing required options: --model"),
+        (["flag", "--dim", "1", "--ranks", "1", "--seed", "-1"], "the seed must be nonnegative, got -1"),
+    ],
+)
+def test_usage_errors_print_one_line(argv, message, capsys):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"qpercept: invalid input: {message}")
+
+
+def test_no_option_is_required_by_argparse():
+    # _require runs after --config, so a config file can preset any option
+    for sub in _SUBPARSERS.values():
+        assert not any(a.required for a in sub._actions if a.option_strings)
+
+
+@pytest.mark.parametrize(
+    "preset, argv",
+    [
+        ({"theta": 0.3}, ["epr", "--theta", "0.3"]),
+        ({"dim": 3, "ranks": "2,1"}, ["flag", "--dim", "3", "--ranks", "2,1"]),
+        ({"model": "ball"}, ["typicality", "--model", "ball"]),
+    ],
+)
+def test_config_presets_required_options(preset, argv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(preset))
+    extra = ["--u", "0.1", "--v", "0.2", "--w", "0.3"] if argv[0] == "typicality" else []
+    assert cli.main(["--config", str(cfg), argv[0], *extra]) == 0
+    from_config = capsys.readouterr().out
+    assert cli.main([*argv, *extra]) == 0
+    assert capsys.readouterr().out == from_config
+
+
+def test_negative_value_after_a_space(capsys):
+    assert cli.main(["sqmn", "posterior", "--p", "-1e-3", "--n", "1"]) == 0
+    spaced = capsys.readouterr().out
+    assert cli.main(["sqmn", "posterior", "--p=-1e-3", "--n", "1"]) == 0
+    assert capsys.readouterr().out == spaced
+    assert json.loads(spaced)["params"]["p"] == -1e-3
+
+
+def test_twostep_mc_above_shard_bound_exits_two_at_once(capsys):
+    assert toymodels.MAX_SHARD_SAMPLES == 10**7
+    start = time.perf_counter()
+    assert cli.main(["twostep", "--mc", "10000001"]) == 2
+    assert time.perf_counter() - start < 0.5  # refused before any sample is drawn
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "qpercept: invalid input: a shard holds at most 10000000 samples: use --shards 2 or more\n"
+    )
+
+
+def test_shard_bound_counts_the_largest_shard(monkeypatch):
+    monkeypatch.setattr(toymodels, "MAX_SHARD_SAMPLES", 10)
+    with pytest.raises(ValidationError, match="use --shards 3 or more"):
+        toymodels.linear_positivity_fraction(21, 5, shards=2)  # shards of 11 and 10
+    bounded = toymodels.linear_positivity_fraction(21, 5, shards=3)
+    monkeypatch.undo()
+    assert bounded == toymodels.linear_positivity_fraction(21, 5, shards=3)
+
+
+# one valid call per code path, for the property test to mutate
+_VALID_ARGV = [
+    ["typicality", "--model", "circle", "--theta", "1.2", "--phi", "2.5", "--grid", "11"],
+    ["typicality", "--model", "sphere", "--theta", "0.9", "--vartheta", "1.2", "--phi", "0.4"],
+    ["typicality", "--model", "ball", "--u", "0.1", "--v", "0.2", "--w", "0.3"],
+    ["sqmn", "posterior", "--p", "1.3", "--n", "0.7"],
+    ["sqmn", "moments", "--p", "1.5"],
+    ["sqmn", "band", "--floor", "0.02"],
+    ["sqmn", "experiment", "--k", "6", "--n", "1.2", "--level", "0.95"],
+    ["epr", "--theta", "1.1", "--parts", "3"],
+    ["flag", "--dim", "4", "--ranks", "2,1,1", "--seed", "5"],
+    ["twostep", "--theta0", "0", "--phi0", "0", "--theta1", "0.7", "--phi1", "0.3",
+     "--theta2", "1.1", "--phi2", "2"],
+    ["twostep", "--mc", "100", "--shards", "2"],
+]
+
+
+@st.composite
+def _argv(draw):
+    """A valid call with up to three tokens replaced, inserted or deleted."""
+    argv = list(draw(st.sampled_from(_VALID_ARGV)))
+    # reproduce runs the whole battery and --output writes files: both left out
+    options = [s for a in _SUBPARSERS[argv[0]]._actions if a.dest not in ("help", "output")
+               for s in a.option_strings]
+    tokens = st.sampled_from([*options, *_VALUE_TOKENS])
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if edit == "insert" or i == len(argv):
+            argv.insert(i, draw(tokens))
+        elif edit == "replace":
+            argv[i] = draw(tokens)
+        else:
+            del argv[i]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_argv())
+def test_main_never_raises_property(argv):
+    _check_outcome(argv)
