@@ -174,8 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi1", type=float)
     p.add_argument("--theta2", type=float)
     p.add_argument("--phi2", type=float)
-    p.add_argument("--mc", type=int, default=None, help="Monte Carlo sample count")
-    p.add_argument("--shards", type=int, default=None, help="Monte Carlo shards, at most --mc")
+    p.add_argument("--mc", type=int, default=None, help=f"Monte Carlo sample count, 1 to "
+                   f"{toymodels.MAX_SAMPLES}, in blocks of {toymodels.BLOCK} from spawned seeds")
     return parser
 
 
@@ -361,12 +361,12 @@ def _cmd_flag(args) -> tuple[dict, int]:
 def _cmd_twostep(args) -> tuple[dict, int]:
     if args.mc is not None:
         seed = _resolve_seed(args)
-        shards = 1 if args.shards is None else args.shards
-        mc = toymodels.linear_positivity_fraction(args.mc, seed, shards=shards)
+        mc = toymodels.linear_positivity_fraction(args.mc, seed)
         report = {
             "command": "twostep",
             "params": {"mc": args.mc},
-            "results": {"linear_positivity_fraction": mc.fraction, "hits": mc.hits},
+            "results": {"linear_positivity_fraction": mc.fraction, "hits": mc.hits,
+                        "standard_error": mc.standard_error},
             "provenance": mc.provenance(),
         }
         return report, 0

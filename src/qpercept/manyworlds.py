@@ -268,6 +268,10 @@ def spectral_operator(
 ) -> Operator:
     """Experience operator of one perception from its spectral terms."""
     decomps = tuple(decompositions)
+    if not decomps:
+        raise ValidationError("need at least one step")
+    if not 0 <= perception < len(spectral):
+        raise ValidationError(f"perception index {perception} out of range")
     dim = decomps[0].dim
     acc = np.zeros((dim, dim), dtype=complex)
     for lam, d_idx, p_idx in spectral.terms[perception]:

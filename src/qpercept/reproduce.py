@@ -64,8 +64,8 @@ def circle_grid_typicality(theta: float, phi: float, points: int = 1_000_001) ->
     return typicality_of_density(profile, toymodels.circle_model(theta, phi).density)
 
 
-def linpos_check(seed: int = DEFAULT_SEED, samples: int = 1_000_000, shards: int = 1) -> Check:
-    mc = toymodels.linear_positivity_fraction(samples, seed, shards=shards)
+def linpos_check(seed: int = DEFAULT_SEED, samples: int = 1_000_000) -> Check:
+    mc = toymodels.linear_positivity_fraction(samples, seed)
     return Check(
         "linpos-fraction",
         (math.sqrt(128) - 9) / 15,

@@ -157,7 +157,11 @@ def test_twostep_mc_determinism_and_env_seed(run_cli):
     assert a.stdout == b.stdout  # byte identical
     payload = json.loads(a.stdout)
     validate(payload)
-    assert payload["provenance"] == {"seed": 11, "samples": 20000, "shardCount": 1}
+    assert payload["provenance"] == {"seed": 11, "samples": 20000, "blockSize": 2**16}
+    results = payload["results"]
+    f = results["linear_positivity_fraction"]
+    assert f == results["hits"] / 20000
+    assert results["standard_error"] == pytest.approx(math.sqrt(f * (1 - f) / 20000), rel=1e-11)
     via_env = run_cli("twostep", "--mc", "20000", env_seed=11)
     assert via_env.stdout == a.stdout
     different = run_cli("twostep", "--mc", "20000", "--seed", "12")
@@ -352,12 +356,6 @@ def test_flag_dim_above_bound_exits_two(capsys):
     assert out == "" and err == "qpercept: invalid input: --dim must be at most 64, got 65\n"
 
 
-def test_twostep_more_shards_than_samples_exits_two(capsys):
-    assert cli.main(["twostep", "--mc", "10", "--shards", "11"]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err == "qpercept: invalid input: need 1 to 10 shards for 10 samples, got 11\n"
-
-
 def test_output_into_missing_directory_exits_two(tmp_path, capsys):
     target = tmp_path / "no" / "such" / "x.json"
     assert cli.main(["sqmn", "band", "--output", str(target)]) == 2
@@ -535,24 +533,24 @@ def test_negative_value_after_a_space(capsys):
     assert json.loads(spaced)["params"]["p"] == -1e-3
 
 
-def test_twostep_mc_above_shard_bound_exits_two_at_once(capsys):
-    assert toymodels.MAX_SHARD_SAMPLES == 10**7
+def test_twostep_mc_above_sample_bound_exits_two_at_once(capsys):
+    assert toymodels.MAX_SAMPLES == 10**9
     start = time.perf_counter()
-    assert cli.main(["twostep", "--mc", "10000001"]) == 2
+    assert cli.main(["twostep", "--mc", "1000000001"]) == 2
     assert time.perf_counter() - start < 0.5  # refused before any sample is drawn
     out, err = capsys.readouterr()
-    assert out == "" and err == (
-        "qpercept: invalid input: a shard holds at most 10000000 samples: use --shards 2 or more\n"
-    )
+    assert out == "" and err == "qpercept: invalid input: need 1 to 1000000000 samples, got 1000000001\n"
 
 
-def test_shard_bound_counts_the_largest_shard(monkeypatch):
-    monkeypatch.setattr(toymodels, "MAX_SHARD_SAMPLES", 10)
-    with pytest.raises(ValidationError, match="use --shards 3 or more"):
-        toymodels.linear_positivity_fraction(21, 5, shards=2)  # shards of 11 and 10
-    bounded = toymodels.linear_positivity_fraction(21, 5, shards=3)
-    monkeypatch.undo()
-    assert bounded == toymodels.linear_positivity_fraction(21, 5, shards=3)
+def test_twostep_shards_option_is_gone(tmp_path, capsys):
+    assert cli.main(["twostep", "--mc", "100", "--shards", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "--shards" in err
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"shards": 2}))
+    assert cli.main(["--config", str(config), "twostep", "--mc", "100"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "qpercept: invalid input: config key 'shards' is not an option of twostep\n"
 
 
 # one valid call per code path, for the property test to mutate
@@ -568,7 +566,7 @@ _VALID_ARGV = [
     ["flag", "--dim", "4", "--ranks", "2,1,1", "--seed", "5"],
     ["twostep", "--theta0", "0", "--phi0", "0", "--theta1", "0.7", "--phi1", "0.3",
      "--theta2", "1.1", "--phi2", "2"],
-    ["twostep", "--mc", "100", "--shards", "2"],
+    ["twostep", "--mc", "100"],
 ]
 
 

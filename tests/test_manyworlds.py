@@ -349,6 +349,20 @@ def test_reconstruct_rejects_out_of_range_terms(rng, term, message):
         spectral_operator(spectral, decs, 1)
 
 
+@pytest.mark.parametrize("perception", [-1, 2, 5])
+def test_spectral_operator_rejects_perception_out_of_range(perception):
+    decs = [sample_decomposition(3, (1, 2), 0)]
+    spectral = SpectralExperience(terms=(((0.5, 0, 0),), ((0.5, 0, 1),)))
+    with pytest.raises(ValidationError, match=f"perception index {perception} out of range"):
+        spectral_operator(spectral, decs, perception)
+
+
+def test_spectral_operator_rejects_no_steps():
+    spectral = SpectralExperience(terms=(((0.5, 0, 0),),))
+    with pytest.raises(ValidationError, match="need at least one step"):
+        spectral_operator(spectral, [], 0)
+
+
 def test_spectral_experience_validation():
     with pytest.raises(ValidationError):
         SpectralExperience(terms=(((-0.5, 0, 0),),))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,20 +209,67 @@ def test_linear_positivity_single_sample_is_binary():
     assert mc.fraction in (0.0, 1.0)
 
 
-def test_linear_positivity_deterministic_and_sharded():
+def test_linear_positivity_deterministic():
     a = linear_positivity_fraction(40_000, seed=9)
     b = linear_positivity_fraction(40_000, seed=9)
-    assert a.fraction == b.fraction
-    c = linear_positivity_fraction(40_000, seed=9, shards=4)
-    assert c.shard_count == 4
-    d = linear_positivity_fraction(40_000, seed=9, shards=4)
-    assert c.fraction == d.fraction
+    assert a == b
+    assert a.provenance() == {"seed": 9, "samples": 40_000, "blockSize": toymodels.BLOCK}
 
 
-def test_linear_positivity_rejects_more_shards_than_samples():
-    assert linear_positivity_fraction(10, seed=9, shards=10).shard_count == 10
-    with pytest.raises(ValidationError, match="need 1 to 10 shards for 10 samples, got 11"):
-        linear_positivity_fraction(10, seed=9, shards=11)
+@pytest.mark.parametrize("samples", [0, -3, toymodels.MAX_SAMPLES + 1])
+def test_linear_positivity_rejects_sample_counts_out_of_range(samples):
+    with pytest.raises(ValidationError, match=f"need 1 to 1000000000 samples, got {samples}"):
+        linear_positivity_fraction(samples, seed=9)
+
+
+def _block_hits(seed: int, block: int, size: int) -> int:
+    """Hits of one block, drawn in the test from the block's spawned seed."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
+    qs = toymodels._sample_directions(rng, size)
+    rs = toymodels._sample_directions(rng, size)
+    return int(np.count_nonzero(toymodels._linpos_mask(np.array([0.0, 0.0, 1.0]), qs, rs)))
+
+
+def test_linear_positivity_blocks_extend_a_shorter_run():
+    block = toymodels.BLOCK
+    one, two = linear_positivity_fraction(block, seed=3), linear_positivity_fraction(2 * block, seed=3)
+    assert one.hits == _block_hits(3, 0, block)
+    assert two.hits - one.hits == _block_hits(3, 1, block)
+    # a partial last block is the prefix of the full one
+    assert linear_positivity_fraction(block + 100, seed=3).hits - one.hits == _block_hits(3, 1, 100)
+
+
+def test_linear_positivity_stream_is_not_the_sphere_stream(monkeypatch):
+    # sphere_checks(42) draws its uniforms u from default_rng(42); the polar
+    # cosines of the linear-positivity sample must not be 2u - 1 of them
+    drawn = []
+    sample = toymodels._sample_directions
+
+    def recording(rng, count):
+        drawn.append(sample(rng, count))
+        return drawn[-1]
+
+    monkeypatch.setattr(toymodels, "_sample_directions", recording)
+    linear_positivity_fraction(2**16, seed=42)
+    cosines = drawn[0][:, 2]
+    uniforms = np.random.default_rng(42).uniform(0.0, 1.0, cosines.size)
+    assert not np.allclose(cosines, 2.0 * uniforms - 1.0)
+
+
+def test_linear_positivity_memory_is_constant_in_samples():
+    tracemalloc.start()
+    try:
+        linear_positivity_fraction(10**6, seed=42)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # one block of 2^16 pairs peaks near 7 MiB
+
+
+def test_linear_positivity_standard_error():
+    mc = linear_positivity_fraction(5000, seed=4)
+    assert mc.standard_error == math.sqrt(mc.fraction * (1 - mc.fraction) / 5000)
+    assert linear_positivity_fraction(1, seed=5).standard_error == 0.0
 
 
 def _matrix_route_linpos(rho: State, q, r) -> bool:
