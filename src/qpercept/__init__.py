@@ -15,6 +15,7 @@ from .errors import (
     DimensionMismatch,
     InvalidExperience,
     QPerceptError,
+    UnknownLabel,
     ValidationError,
     ZeroMeasure,
 )
@@ -38,6 +39,7 @@ __all__ = [
     "DimensionMismatch",
     "InvalidExperience",
     "QPerceptError",
+    "UnknownLabel",
     "ValidationError",
     "ZeroMeasure",
     "Operator",

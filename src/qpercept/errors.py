@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finite-number check."""
+import math
 
 
 class QPerceptError(ValueError):
@@ -23,3 +24,15 @@ class ZeroMeasure(QPerceptError):
 
 class DegenerateInput(QPerceptError):
     """The computation is undefined for this degenerate input."""
+
+
+class UnknownLabel(QPerceptError, KeyError):
+    """A perception label that the space or family does not hold; a KeyError
+    too, so mapping-style callers keep working."""
+
+
+def check_finite(what: str, *values) -> None:
+    """Raise ValidationError unless every value is a finite real number."""
+    for value in values:
+        if not math.isfinite(value):
+            raise ValidationError(f"{what} must be finite, got {value}")

@@ -16,7 +16,7 @@ from typing import Callable, ClassVar, Optional, Sequence, Union, get_args
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidExperience, ValidationError
+from .errors import DimensionMismatch, InvalidExperience, UnknownLabel, ValidationError
 from .operators import DEFAULT_TOL, Operator, State, is_projector
 
 
@@ -296,7 +296,7 @@ class ExperienceFamily:
         for l, s, _ in self.entries:
             if l == label:
                 return s
-        raise KeyError(label)
+        raise UnknownLabel(label)
 
     def realize_all(self, state: Optional[State] = None, tol: float = DEFAULT_TOL) -> list[Operator]:
         return [realize(s, state, tol) for _, s, _ in self.entries]

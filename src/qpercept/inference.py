@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegenerateInput, ValidationError, ZeroMeasure
+from .errors import DegenerateInput, QPerceptError, ValidationError, ZeroMeasure, check_finite
 
 
 @dataclass(frozen=True)
@@ -102,11 +102,15 @@ def posterior_density(p: float, n: float) -> float:
     Uses a uniform prior in n; the ordinary typicality is the likelihood.
     Normalized over n in (0, inf) for any p != 0.
     """
+    check_finite("p and n", p, n)
     if p == 0:
         raise DegenerateInput("p = 0 carries no information about the exponent")
     if n <= 0:
         return 0.0
-    return p * p * erfc(math.sqrt(p * p * n / 2))
+    density = p * p * erfc(math.sqrt(p * p * n / 2))
+    if not math.isfinite(density):  # p * p overflows for |p| above 1.3e154
+        raise QPerceptError(f"the posterior density overflows at p = {p}")
+    return density
 
 
 def posterior_moment(p: float, m: int) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -159,13 +159,14 @@ def family_metric(
     return out
 
 
-def _check_steps(state: State, decompositions: Sequence[ProjectorDecomposition]) -> tuple:
+def _check_steps(decompositions: Sequence[ProjectorDecomposition], dim: Optional[int] = None) -> tuple:
+    """The steps as a tuple: at least one, all of dimension dim (the first step's by default)."""
     decomps = tuple(decompositions)
     if len(decomps) == 0:
         raise ValidationError("need at least one step")
-    for d in decomps:
-        if d.dim != state.dim:
-            raise DimensionMismatch("every step must share the state dimension")
+    dim = decomps[0].dim if dim is None else dim
+    if any(d.dim != dim for d in decomps):
+        raise DimensionMismatch(f"every step must have dimension {dim}")
     return decomps
 
 
@@ -186,7 +187,7 @@ class ReplicatedDecoherenceFunctional:
     """
 
     def __init__(self, state: State, decompositions: Sequence[ProjectorDecomposition]):
-        decomps = _check_steps(state, decompositions)
+        decomps = _check_steps(decompositions, state.dim)
         self.state = state
         self.decompositions = decomps
         # <P_j P_i> per step, indexed [step][j, i]
@@ -267,9 +268,7 @@ def spectral_operator(
     perception: int,
 ) -> Operator:
     """Experience operator of one perception from its spectral terms."""
-    decomps = tuple(decompositions)
-    if not decomps:
-        raise ValidationError("need at least one step")
+    decomps = _check_steps(decompositions)
     if not 0 <= perception < len(spectral):
         raise ValidationError(f"perception index {perception} out of range")
     dim = decomps[0].dim
@@ -294,7 +293,7 @@ def reconstruct_measures(
     exponential, in the step count.  ReplicatedDecoherenceFunctional.diagonal
     is the enumeration this replaces.
     """
-    decomps = _check_steps(state, decompositions)
+    decomps = _check_steps(decompositions, state.dim)
     for terms in spectral.terms:
         for _, d_idx, p_idx in terms:
             _check_term(decomps, d_idx, p_idx)

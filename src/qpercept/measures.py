@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InvalidExperience,
+    UnknownLabel,
     ValidationError,
     ZeroMeasure,
 )
@@ -122,11 +123,11 @@ class PerceptionSpace:
 
     def index_of(self, label: str) -> int:
         if self.labels is None:
-            raise KeyError(f"grid space has no labels; use integer indices ({label!r})")
+            raise UnknownLabel(f"grid space has no labels; use integer indices ({label!r})")
         try:
             return self._label_index[label]
-        except KeyError:
-            raise KeyError(label) from None
+        except (KeyError, TypeError):
+            raise UnknownLabel(label) from None
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError
+from .errors import DimensionMismatch, ValidationError, check_finite
 
 DEFAULT_TOL = 1e-9
 
@@ -116,6 +116,7 @@ class State:
     @classmethod
     def from_bloch(cls, polar: float, azimuth: float) -> "State":
         """Pure two-state density matrix pointing along (polar, azimuth)."""
+        check_bloch_angles(polar, azimuth)
         return cls(bloch_projector(polar, azimuth).mat)
 
     to_json = Operator.to_json
@@ -155,6 +156,13 @@ def expectation(state: State, op: Operator) -> complex:
     if state.dim != op.dim:
         raise DimensionMismatch(f"state dim {state.dim} != operator dim {op.dim}")
     return complex(np.trace(state.mat @ op.mat))
+
+
+def check_bloch_angles(polar: float, azimuth: float) -> None:
+    """Finite angles with the polar angle in [0, pi]."""
+    check_finite("angles", polar, azimuth)
+    if not 0.0 <= polar <= math.pi:
+        raise ValidationError("polar angle must lie in [0, pi]")
 
 
 def bloch_projector(polar: float, azimuth: float) -> Operator:

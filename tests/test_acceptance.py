@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from conftest import random_projector, random_state
+from conftest import random_projector, random_state, sphere_directions, vector_linpos
 from qpercept import inference, toymodels
 from qpercept.hypotheses import ExperienceFamily, Explicit, awareness_operator, realize
 from qpercept.manyworlds import (
@@ -39,7 +39,7 @@ from qpercept.manyworlds import (
 from qpercept.measures import PerceptionSpace, profile_from_density, typicality_curves
 from qpercept.operators import State, expectation
 from qpercept.reproduce import circle_grid_typicality, linpos_check, sqmn_checks
-from qpercept.toymodels import Direction, _eight_triangle_areas, _linpos_mask, _sample_directions
+from qpercept.toymodels import Direction, _eight_triangle_areas
 
 SEED = 42
 
@@ -328,11 +328,11 @@ def test_criterion_10_property_suites(rng):
     gen = np.random.default_rng(SEED)
     n_tri = 10_000
     s = np.array([0.0, 0.0, 1.0])
-    qs = _sample_directions(gen, n_tri)
-    rs = _sample_directions(gen, n_tri)
+    qs = sphere_directions(gen, n_tri)
+    rs = sphere_directions(gen, n_tri)
     areas = _eight_triangle_areas(s, qs, rs)
     geometric = np.all(areas <= math.pi + 1e-9, axis=-1)
-    algebraic = _linpos_mask(s, qs, rs)
+    algebraic = vector_linpos(s, qs, rs)
     agreement = float(np.mean(geometric == algebraic))
     tri_ok = agreement >= 0.9999
 

@@ -1,0 +1,95 @@
+"""The library's error contract: bad input raises a QPerceptError, and
+in-range input returns finite values."""
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qpercept import inference, toymodels
+from qpercept.errors import QPerceptError, UnknownLabel, ValidationError
+from qpercept.hypotheses import ExperienceFamily, Explicit
+from qpercept.measures import PerceptionSpace, profile_from_density, typicality
+from qpercept.operators import State, identity
+
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+
+
+# each function, its arity, and the values of its result that must be finite
+PUBLIC = {
+    "posterior_density": (inference.posterior_density, 2, lambda out: [out]),
+    "circle_model": (toymodels.circle_model, 2, dataclasses.astuple),
+    "sphere_model": (toymodels.sphere_model, 3, dataclasses.astuple),
+    "from_bloch": (State.from_bloch, 2, lambda out: out.mat.view(float)),
+}
+
+
+@pytest.mark.parametrize("name", PUBLIC)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_raises_a_qpercept_error_or_returns_finite_values(name, data):
+    function, arity, values = PUBLIC[name]
+    args = data.draw(st.tuples(*[any_float] * arity))
+    try:
+        out = function(*args)
+    except QPerceptError:
+        return
+    assert np.all(np.isfinite(values(out)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: inference.posterior_density(math.nan, 1),
+        lambda: inference.posterior_density(1.0, math.inf),
+        lambda: toymodels.circle_model(math.nan, 0),
+        lambda: toymodels.circle_model(1.0, math.inf),
+        lambda: State.from_bloch(5.0, 0),
+        lambda: State.from_bloch(-0.1, 0),
+        lambda: State.from_bloch(1.0, math.nan),
+    ],
+)
+def test_non_finite_and_out_of_range_inputs_are_validation_errors(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+def test_an_overflowing_posterior_density_is_a_computation_failure():
+    with pytest.raises(QPerceptError, match="overflows") as exc:
+        inference.posterior_density(2e154, 1.0)  # p * p is inf
+    assert not isinstance(exc.value, ValidationError)
+
+
+def _labeled_profile():
+    space = PerceptionSpace.discrete(["a", "b", "c"])
+    return profile_from_density(space, np.array([0.2, 0.3, 0.5]))
+
+
+def _grid_profile():
+    phis = np.linspace(0.0, 1.0, 5)
+    return profile_from_density(PerceptionSpace.grid({"phi": phis}), np.ones(5))
+
+
+@pytest.mark.parametrize("label", ["zz", 1.0, ["a"]])
+def test_unknown_labels_raise_one_error(label):
+    space = PerceptionSpace.discrete(["a", "b", "c"])
+    for call in (lambda: space.index_of(label), lambda: typicality(_labeled_profile(), label)):
+        with pytest.raises(UnknownLabel) as exc:
+            call()
+        assert isinstance(exc.value, QPerceptError) and isinstance(exc.value, KeyError)
+        assert exc.value.args == (label,)
+    family = ExperienceFamily((("a", Explicit(identity(2)), 1.0),))
+    with pytest.raises(UnknownLabel) as exc:
+        family.spec_for(label)
+    assert exc.value.args == (label,)
+
+
+@pytest.mark.parametrize("label", ["zz", 1.0])
+def test_grid_spaces_have_no_labels(label):
+    profile = _grid_profile()
+    with pytest.raises(UnknownLabel, match="grid space has no labels"):
+        profile.space.index_of(label)
+    with pytest.raises(UnknownLabel, match="grid space has no labels"):
+        typicality(profile, label)

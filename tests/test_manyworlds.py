@@ -363,6 +363,13 @@ def test_spectral_operator_rejects_no_steps():
         spectral_operator(spectral, [], 0)
 
 
+def test_spectral_operator_rejects_steps_of_different_dimensions():
+    spectral = SpectralExperience(terms=(((0.5, 0, 0), (0.5, 1, 0)),))
+    decs = [sample_decomposition(3, (1, 2), 0), sample_decomposition(2, (1, 1), 1)]
+    with pytest.raises(DimensionMismatch, match="every step must have dimension 3"):
+        spectral_operator(spectral, decs, 0)
+
+
 def test_spectral_experience_validation():
     with pytest.raises(ValidationError):
         SpectralExperience(terms=(((-0.5, 0, 0),),))

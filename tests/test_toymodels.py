@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import sphere_directions, vector_linpos
 from qpercept import toymodels
 from qpercept.errors import DegenerateInput, ValidationError
 from qpercept.hypotheses import realize
@@ -223,11 +224,12 @@ def test_linear_positivity_rejects_sample_counts_out_of_range(samples):
 
 
 def _block_hits(seed: int, block: int, size: int) -> int:
-    """Hits of one block, drawn in the test from the block's spawned seed."""
+    """Hits of one block, drawn in the test from the block's spawned seed and
+    judged on Bloch vectors, without the pole kernel."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
-    qs = toymodels._sample_directions(rng, size)
-    rs = toymodels._sample_directions(rng, size)
-    return int(np.count_nonzero(toymodels._linpos_mask(np.array([0.0, 0.0, 1.0]), qs, rs)))
+    qs = sphere_directions(rng, size)
+    rs = sphere_directions(rng, size)
+    return int(np.count_nonzero(vector_linpos(np.array([0.0, 0.0, 1.0]), qs, rs)))
 
 
 def test_linear_positivity_blocks_extend_a_shorter_run():
@@ -239,21 +241,35 @@ def test_linear_positivity_blocks_extend_a_shorter_run():
     assert linear_positivity_fraction(block + 100, seed=3).hits - one.hits == _block_hits(3, 1, 100)
 
 
+@pytest.mark.parametrize("seeds", [range(0, 20), range(1000, 1020)])
+def test_pole_kernel_matches_the_vector_route(seeds):
+    # the kernel's q.r differs from the vector route's in rounding only
+    for seed in seeds:
+        assert linear_positivity_fraction(toymodels.BLOCK, seed).hits == _block_hits(seed, 0, toymodels.BLOCK)
+
+
+def test_pole_kernel_matches_the_vector_route_at_seed_42():
+    samples = 10**6
+    full, tail = divmod(samples, toymodels.BLOCK)
+    oracle = sum(_block_hits(42, b, toymodels.BLOCK) for b in range(full)) + _block_hits(42, full, tail)
+    assert oracle == linear_positivity_fraction(samples, 42).hits == 333854
+
+
 def test_linear_positivity_stream_is_not_the_sphere_stream(monkeypatch):
     # sphere_checks(42) draws its uniforms u from default_rng(42); the polar
     # cosines of the linear-positivity sample must not be 2u - 1 of them
-    drawn = []
-    sample = toymodels._sample_directions
+    cosines = []
+    mask = toymodels._linpos_mask
 
-    def recording(rng, count):
-        drawn.append(sample(rng, count))
-        return drawn[-1]
+    def recording(aq, ar, qr):
+        cosines.append(aq)  # at the pole a.q is the polar cosine of Q
+        return mask(aq, ar, qr)
 
-    monkeypatch.setattr(toymodels, "_sample_directions", recording)
+    monkeypatch.setattr(toymodels, "_linpos_mask", recording)
     linear_positivity_fraction(2**16, seed=42)
-    cosines = drawn[0][:, 2]
-    uniforms = np.random.default_rng(42).uniform(0.0, 1.0, cosines.size)
-    assert not np.allclose(cosines, 2.0 * uniforms - 1.0)
+    uniforms = np.random.default_rng(42).uniform(0.0, 1.0, cosines[0].size)
+    assert cosines[0].size == 2**16
+    assert not np.allclose(cosines[0], 2.0 * uniforms - 1.0)
 
 
 def test_linear_positivity_memory_is_constant_in_samples():
@@ -263,7 +279,7 @@ def test_linear_positivity_memory_is_constant_in_samples():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20  # one block of 2^16 pairs peaks near 7 MiB
+    assert peak < 16 * 2**20  # one block of 2^16 pairs peaks near 5 MiB
 
 
 def test_linear_positivity_standard_error():
