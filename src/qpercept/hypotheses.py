@@ -6,6 +6,11 @@ operators, projectors (possibly constrained or group-symmetrized), commuting
 products, ordered chains of projectors, unit-coefficient sums of chains, and
 real parts of class operators.  Each variant realizes itself and carries its
 JSON tag; `realize`, `spec_to_json` and `spec_from_json` are the entry points.
+
+A family is realized as a whole by `ExperienceFamily.realize_all` (and a list
+of specs by `realize_stack`): `realize` runs once per spec, and the matrices
+come back as one read-only complex array of shape (N, d, d), so densities and
+priors are read off the stack in one vectorized pass.
 """
 from __future__ import annotations
 
@@ -29,9 +34,9 @@ def _left_product(ops: Sequence[Operator]) -> np.ndarray:
     return functools.reduce(np.matmul, [op.mat for op in ops])
 
 
-def _pairwise_within(ops: Sequence[Operator], pair: Callable, tol: float) -> bool:
-    """True iff every entry of pair(A, B) is within tol for every pair of ops."""
-    return all(np.max(np.abs(pair(a.mat, b.mat))) <= tol for a, b in itertools.combinations(ops, 2))
+def _pairwise_within(mats: Sequence[np.ndarray], pair: Callable, tol: float) -> bool:
+    """True iff every entry of pair(A, B) is within tol for every pair of matrices."""
+    return all(np.max(np.abs(pair(a, b))) <= tol for a, b in itertools.combinations(mats, 2))
 
 
 def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -130,7 +135,7 @@ class ProductProjector:
         object.__setattr__(self, "components", comps)
 
     def realize(self, state: Optional[State] = None, tol: float = DEFAULT_TOL) -> Operator:
-        if not _pairwise_within(self.components, _commutator, tol):
+        if not _pairwise_within([c.mat for c in self.components], _commutator, tol):
             raise ValidationError("ProductProjector components do not commute within tol")
         return Operator(_left_product(self.components))
 
@@ -156,11 +161,14 @@ class ProjectionSequence:
         _same_dim(chain, "chain entries")
         object.__setattr__(self, "chain", chain)
 
+    def _class_matrix(self) -> np.ndarray:
+        return _left_product(self.chain)
+
     def class_operator(self) -> Operator:
-        return Operator(_left_product(self.chain))
+        return Operator(self._class_matrix())
 
     def realize(self, state: Optional[State] = None, tol: float = DEFAULT_TOL) -> Operator:
-        c = self.class_operator().mat
+        c = self._class_matrix()
         return Operator(c.conj().T @ c)
 
 
@@ -181,9 +189,10 @@ class HistorySum:
         _same_dim([s.chain[0] for s in seqs], "HistorySum chains")
         object.__setattr__(self, "sequences", seqs)
 
-    def class_operator(self) -> Operator:
-        return Operator(sum(s.class_operator().mat for s in self.sequences))
+    def _class_matrix(self) -> np.ndarray:
+        return sum(s._class_matrix() for s in self.sequences)
 
+    class_operator = ProjectionSequence.class_operator
     realize = ProjectionSequence.realize
 
 
@@ -233,6 +242,24 @@ def realize(spec: ExperienceSpec, state: Optional[State] = None, tol: float = DE
     checked to have nonnegative expectation.
     """
     return _known(spec).realize(state, tol)
+
+
+def realize_stack(
+    specs: Sequence[ExperienceSpec], state: Optional[State] = None, tol: float = DEFAULT_TOL
+) -> np.ndarray:
+    """The specs' operators as one read-only (N, d, d) complex array, in order.
+
+    Each spec goes through `realize` exactly once; specs acting on spaces of
+    different dimension raise DimensionMismatch.
+    """
+    mats = [realize(s, state, tol).mat for s in specs]
+    if not mats:
+        raise ValidationError("need at least one experience spec")
+    if len({m.shape for m in mats}) > 1:
+        raise DimensionMismatch("experience specs act on spaces of different dimension")
+    stack = np.stack(mats)
+    stack.setflags(write=False)
+    return stack
 
 
 def _encode(value):
@@ -298,8 +325,9 @@ class ExperienceFamily:
                 return s
         raise UnknownLabel(label)
 
-    def realize_all(self, state: Optional[State] = None, tol: float = DEFAULT_TOL) -> list[Operator]:
-        return [realize(s, state, tol) for _, s, _ in self.entries]
+    def realize_all(self, state: Optional[State] = None, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """Every entry's operator, stacked in entry order (see `realize_stack`)."""
+        return realize_stack([s for _, s, _ in self.entries], state, tol)
 
 
 def awareness_operator(
@@ -315,18 +343,17 @@ def awareness_operator(
     """
     if len(family) == 0:
         raise ValidationError("family is empty")
-    ops = family.realize_all(state)
-    dim = ops[0].dim
-    acc = np.zeros((dim, dim), dtype=complex)
-    for (label, _, weight), op in zip(family.entries, ops):
+    stack = family.realize_all(state)
+    acc = np.zeros(stack.shape[1:], dtype=complex)
+    for (label, _, weight), mat in zip(family.entries, stack):
         if subset is None or subset(label):
-            acc += weight * op.mat
+            acc += weight * mat
     return Operator(acc)
 
 
-def _vectorized(ops: list[Operator]) -> np.ndarray:
-    cols = [op.mat.reshape(-1) for op in ops]
-    return np.column_stack(cols)
+def _vectorized(stack: np.ndarray) -> np.ndarray:
+    """One column per operator: the (d*d, N) matrix of the flattened stack."""
+    return np.ascontiguousarray(stack.reshape(len(stack), -1).T)
 
 
 def check_pairwise_independence(
@@ -340,8 +367,7 @@ def check_pairwise_independence(
     """
     if len(family) < 2:
         raise ValidationError("need at least two entries to compare")
-    ops = family.realize_all(state)
-    vecs = _vectorized(ops)
+    vecs = _vectorized(family.realize_all(state))
     norms = np.linalg.norm(vecs, axis=0)
     if np.any(norms == 0):
         idx = int(np.argmin(norms))
@@ -361,11 +387,11 @@ def check_linear_independence(
 
     At most dim^2 operators can be independent, so larger families always fail.
     """
-    ops = family.realize_all(state)
-    dim = ops[0].dim
-    if len(ops) > dim * dim:
+    stack = family.realize_all(state)
+    dim = stack.shape[1]
+    if len(stack) > dim * dim:
         return False
-    vecs = _vectorized(ops)
+    vecs = _vectorized(stack)
     norms = np.linalg.norm(vecs, axis=0)
     if np.any(norms == 0):
         return False

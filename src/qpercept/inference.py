@@ -78,18 +78,21 @@ def gaussian_typicality(n: float, p: float) -> float:
     Negative exponents make the density diverge in the tails, so the
     typicality is zero there; n = 0 is the constant-density limit.
     """
+    check_finite("n and p", n, p)
     if n < 0:
         return 0.0
     return erfc(math.sqrt(n * p * p / 2))
 
 
 def gaussian_reversed(n: float, p: float) -> float:
+    check_finite("n and p", n, p)
     if n < 0:
         return 1.0
     return erf(math.sqrt(n * p * p / 2))
 
 
 def gaussian_dual(n: float, p: float) -> float:
+    check_finite("n and p", n, p)
     if n < 0:
         return 0.0
     t = gaussian_typicality(n, p)
@@ -182,23 +185,40 @@ def dual_normalization() -> tuple[float, float]:
 
 def dual_posterior(p: float, n: float) -> float:
     """Posterior over n with the dual typicality as the likelihood."""
+    check_finite("p and n", p, n)
     if p == 0:
         raise DegenerateInput("p = 0 carries no information about the exponent")
     if n <= 0:
         return 0.0
     norm, _ = dual_normalization()
     x = math.sqrt(p * p * n / 2)
-    return norm * p * p * min(erfc(x), erf(x))
+    density = norm * p * p * min(erfc(x), erf(x))
+    if not math.isfinite(density):  # p * p overflows for |p| above 1.3e154
+        raise QPerceptError(f"the dual posterior density overflows at p = {p}")
+    return density
 
 
 def dual_posterior_moment(p: float, m: int) -> float:
-    """m-th moment of the dual posterior: 4 N (2/p^2)^m I_(2m+1)."""
+    """m-th moment of the dual posterior: 4 N (2/p^2)^m I_(2m+1).
+
+    I_(2m+1) exceeds the double range above m = 170, so higher orders fail at
+    once, as does any p for which (2/p^2)^m leaves that range.
+    """
+    check_finite("p and m", p, m)
     if p == 0:
         raise DegenerateInput("p = 0 carries no information about the exponent")
     if m < 0 or int(m) != m:
         raise ValidationError("moment order must be a nonnegative integer")
-    norm, x1 = dual_normalization()
-    return 4.0 * norm * (2.0 / (p * p)) ** m * _dual_integral(2 * int(m) + 1, x1)
+    moment = math.inf
+    if m <= 170:
+        norm, x1 = dual_normalization()
+        try:
+            moment = 4.0 * norm * (2.0 / (p * p)) ** m * _dual_integral(2 * int(m) + 1, x1)
+        except (OverflowError, ZeroDivisionError):  # p * p underflows or the power overflows
+            pass
+    if not math.isfinite(moment):
+        raise QPerceptError(f"the dual posterior moment of order {m} overflows at p = {p}")
+    return moment
 
 
 def bayes_update(hypotheses: HypothesisSet, observation) -> dict[str, float]:

@@ -25,9 +25,9 @@ from .errors import (
     ValidationError,
     ZeroMeasure,
 )
-from .hypotheses import ExperienceFamily, ExperienceSpec, realize
+from .hypotheses import ExperienceFamily, ExperienceSpec, realize, realize_stack
 from .manyworlds import gram_metric
-from .operators import DEFAULT_TOL, Operator, State, expectation
+from .operators import DEFAULT_TOL, State, expectation
 
 
 @dataclass(frozen=True)
@@ -195,14 +195,34 @@ def profile_from_density(space: PerceptionSpace, density, tol: float = DEFAULT_T
     return MeasureProfile(space=space, density=m, total_measure=total)
 
 
-def measure_density(state: State, spec: ExperienceSpec, tol: float = DEFAULT_TOL) -> float:
-    """Expectation of the experience operator in the state, clamped at -tol."""
-    val = expectation(state, realize(spec, state, tol))
+def _density(val: complex, tol: float) -> float:
+    """The real part of an expectation value; a negative one within tol reads 0."""
     if abs(val.imag) > tol:
         raise InvalidExperience(f"measure density has imaginary part {val.imag}")
     if val.real < -tol:
         raise InvalidExperience(f"measure density {val.real} below -tol")
     return max(val.real, 0.0)
+
+
+def measure_density(state: State, spec: ExperienceSpec, tol: float = DEFAULT_TOL) -> float:
+    """Expectation of the experience operator in the state, clamped at -tol."""
+    return _density(expectation(state, realize(spec, state, tol)), tol)
+
+
+def _expectations(state: State, stack: np.ndarray) -> np.ndarray:
+    """Tr(state E) for every operator E of a realized (N, d, d) stack."""
+    if state.dim != stack.shape[1]:
+        raise DimensionMismatch(f"state dim {state.dim} != operator dim {stack.shape[1]}")
+    return np.trace(state.mat @ stack, axis1=1, axis2=2)
+
+
+def _densities(state: State, stack: np.ndarray, tol: float) -> np.ndarray:
+    """measure_density of every operator of the stack, in one pass."""
+    vals = _expectations(state, stack)
+    bad = (np.abs(vals.imag) > tol) | (vals.real < -tol)
+    if bad.any():
+        _density(complex(vals[np.argmax(bad)]), tol)  # raises for the first offender
+    return np.where(vals.real < 0.0, 0.0, vals.real)
 
 
 def build_profile(
@@ -220,15 +240,18 @@ def build_profile(
     """
     if space is None:
         space = PerceptionSpace.discrete(family.labels, family.weights)
-    if space.labels is None:
+        stack = family.realize_all(state, tol)
+    elif space.labels is None:
         if len(family) != len(space):
             raise ValidationError("family must cover the grid points in order")
-        specs = [spec for _, spec, _ in family.entries]
+        stack = family.realize_all(state, tol)
     else:
         by_label = {label: spec for label, spec, _ in family.entries}
-        specs = [by_label[label] for label in space.labels]
-    density = [measure_density(state, spec, tol) for spec in specs]
-    return profile_from_density(space, np.array(density), tol)
+        missing = [label for label in space.labels if label not in by_label]
+        if missing:
+            raise UnknownLabel(missing[0])
+        stack = realize_stack([by_label[label] for label in space.labels], state, tol)
+    return profile_from_density(space, _densities(state, stack, tol), tol)
 
 
 def _selection_mask(profile: MeasureProfile, predicate) -> np.ndarray:
@@ -337,11 +360,11 @@ def prior_measure(
     if mode == "counting":
         return np.ones(len(family))
     if mode == "trace":
-        return np.array([float(np.trace(op.mat).real) for op in family.realize_all()])
+        return np.trace(family.realize_all(), axis1=1, axis2=2).real
     if mode == "prior_state":
         if prior_state is None:
             raise ValidationError("prior_state mode needs a reference state")
-        return np.array([float(expectation(prior_state, op).real) for op in family.realize_all()])
+        return _expectations(prior_state, family.realize_all()).real
     if mode == "riemannian":
         if space is None or space.points is None:
             raise ValidationError("riemannian mode needs a grid space")
@@ -351,19 +374,19 @@ def prior_measure(
     raise ValidationError(f"unknown prior-measure mode {mode!r}")
 
 
-def _riemannian_weights(ops: list[Operator], space: PerceptionSpace, tol: float) -> np.ndarray:
+def _riemannian_weights(stack: np.ndarray, space: PerceptionSpace, tol: float) -> np.ndarray:
     axes_vals = [np.unique(column) for column in space.points.T]
     ndim = len(axes_vals)
     mesh = np.meshgrid(*axes_vals, indexing="ij")
     if not np.array_equal(space.points, np.column_stack([m.reshape(-1) for m in mesh])):
         raise ValidationError("grid points must be a full cartesian product in PerceptionSpace.grid order")
-    mats = np.stack([op.mat for op in ops]).reshape(mesh[0].shape + ops[0].mat.shape)
+    mats = stack.reshape(mesh[0].shape + stack.shape[1:])
     # np.gradient: central differences inside, one-sided at the boundary
     diffs = np.stack(
         [np.gradient(mats, axes_vals[axis], axis=axis, edge_order=1) for axis in range(ndim)],
         axis=ndim,
     )
-    det = np.linalg.det(gram_metric(diffs.reshape((len(ops), ndim, -1))))
+    det = np.linalg.det(gram_metric(diffs.reshape((len(stack), ndim, -1))))
     return np.where(det > tol, np.sqrt(np.abs(det)), np.nan)
 
 

@@ -21,7 +21,7 @@ def _as_square_complex(entries) -> np.ndarray:
     mat = np.asarray(entries, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
         raise ValidationError(f"expected a square matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat.view(float))):
+    if not np.isfinite(mat).all():
         raise ValidationError("matrix entries must be finite")
     mat.setflags(write=False)
     return mat

@@ -63,6 +63,7 @@ def ball_experience(u: float, v: float, w: float) -> Operator:
 
 def ball_prior_weight(u: float, v: float, w: float) -> float:
     """Prior density sqrt(8)/(1+u^2+v^2+w^2)^3 from the operator-family metric."""
+    check_finite("ball coordinates", u, v, w)
     r2 = u * u + v * v + w * w
     if r2 > 1.0 + 1e-12:
         raise ValidationError("ball coordinates must satisfy u^2+v^2+w^2 <= 1")
@@ -118,6 +119,7 @@ def circle_model(theta: float, phi: float) -> CircleResult:
 
 def circle_density_array(theta: float, phis: np.ndarray) -> np.ndarray:
     """Vectorized circle-model densities, for building grid profiles."""
+    check_finite("theta", theta)
     if math.sin(theta) <= 0:
         raise DegenerateInput("circle model needs sin(theta) > 0")
     return 0.5 * (1.0 + math.sin(theta) * np.cos(phis))

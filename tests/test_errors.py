@@ -16,12 +16,27 @@ from qpercept.operators import State, identity
 
 any_float = st.floats(allow_nan=True, allow_infinity=True)
 
+# the scalar theta is the checked argument; the grid of angles is the caller's
+PHIS = np.linspace(-math.pi, math.pi, 9)
+
+
+def _scalar(out):
+    return [out]
+
 
 # each function, its arity, and the values of its result that must be finite
 PUBLIC = {
-    "posterior_density": (inference.posterior_density, 2, lambda out: [out]),
+    "posterior_density": (inference.posterior_density, 2, _scalar),
+    "dual_posterior": (inference.dual_posterior, 2, _scalar),
+    "dual_posterior_moment": (inference.dual_posterior_moment, 2, _scalar),
+    "gaussian_typicality": (inference.gaussian_typicality, 2, _scalar),
+    "gaussian_reversed": (inference.gaussian_reversed, 2, _scalar),
+    "gaussian_dual": (inference.gaussian_dual, 2, _scalar),
     "circle_model": (toymodels.circle_model, 2, dataclasses.astuple),
+    "circle_density_array": (lambda theta: toymodels.circle_density_array(theta, PHIS), 1, lambda out: out),
     "sphere_model": (toymodels.sphere_model, 3, dataclasses.astuple),
+    "ball_prior_weight": (toymodels.ball_prior_weight, 3, _scalar),
+    "ball_experience": (toymodels.ball_experience, 3, lambda out: out.mat.view(float)),
     "from_bloch": (State.from_bloch, 2, lambda out: out.mat.view(float)),
 }
 
@@ -49,6 +64,17 @@ def test_raises_a_qpercept_error_or_returns_finite_values(name, data):
         lambda: State.from_bloch(5.0, 0),
         lambda: State.from_bloch(-0.1, 0),
         lambda: State.from_bloch(1.0, math.nan),
+        lambda: inference.dual_posterior(math.nan, 1.0),
+        lambda: inference.dual_posterior(1.0, math.inf),
+        lambda: inference.dual_posterior_moment(math.nan, 1),
+        lambda: inference.dual_posterior_moment(1.0, math.inf),
+        lambda: inference.gaussian_typicality(math.nan, 1.0),
+        lambda: inference.gaussian_reversed(1.0, math.nan),
+        lambda: inference.gaussian_dual(-math.inf, 1.0),
+        lambda: toymodels.circle_density_array(math.nan, PHIS),
+        lambda: toymodels.circle_density_array(math.inf, PHIS),
+        lambda: toymodels.ball_prior_weight(math.nan, 0.0, 0.0),
+        lambda: toymodels.ball_experience(0.0, math.nan, 0.0),
     ],
 )
 def test_non_finite_and_out_of_range_inputs_are_validation_errors(call):
@@ -59,6 +85,21 @@ def test_non_finite_and_out_of_range_inputs_are_validation_errors(call):
 def test_an_overflowing_posterior_density_is_a_computation_failure():
     with pytest.raises(QPerceptError, match="overflows") as exc:
         inference.posterior_density(2e154, 1.0)  # p * p is inf
+    assert not isinstance(exc.value, ValidationError)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: inference.dual_posterior(2e154, 1.0),  # p * p is inf
+        lambda: inference.dual_posterior_moment(1e-200, 1),  # p * p is 0
+        lambda: inference.dual_posterior_moment(1.0, 171),  # I_343 is inf
+        lambda: inference.dual_posterior_moment(1.0, 1e300),
+    ],
+)
+def test_an_overflowing_dual_posterior_is_a_computation_failure(call):
+    with pytest.raises(QPerceptError, match="overflows") as exc:
+        call()
     assert not isinstance(exc.value, ValidationError)
 
 
