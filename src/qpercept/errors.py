@@ -32,7 +32,10 @@ class UnknownLabel(QPerceptError, KeyError):
 
 
 def check_finite(what: str, *values) -> None:
-    """Raise ValidationError unless every value is a finite real number."""
+    """Raise ValidationError unless every value is a finite real number.
+
+    Every int is finite, also one too large for a float.
+    """
     for value in values:
-        if not math.isfinite(value):
+        if not (isinstance(value, int) or math.isfinite(value)):
             raise ValidationError(f"{what} must be finite, got {value}")

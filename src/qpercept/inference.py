@@ -117,15 +117,27 @@ def posterior_density(p: float, n: float) -> float:
 
 
 def posterior_moment(p: float, m: int) -> float:
-    """m-th moment of the exponent posterior: (2m+1)!! / ((m+1) p^(2m))."""
+    """m-th moment of the exponent posterior: (2m+1)!! / ((m+1) p^(2m)).
+
+    Above m = 268, (2m+1)!!/(m+1) exceeds the square of the largest double, so
+    p^(2m) or the moment leaves the double range whatever p is: those orders
+    fail at once, as does any p for which either leaves it.
+    """
+    check_finite("p and m", p, m)
     if p == 0:
         raise DegenerateInput("p = 0 carries no information about the exponent")
     if m < 0 or int(m) != m:
         raise ValidationError("moment order must be a nonnegative integer")
-    double_fact = 1
-    for k in range(3, 2 * int(m) + 2, 2):
-        double_fact *= k
-    return double_fact / ((m + 1) * p ** (2 * m))
+    moment = math.inf
+    if m <= 268:
+        double_fact = math.prod(range(3, 2 * int(m) + 2, 2))
+        try:
+            moment = double_fact / ((m + 1) * p ** (2 * m))
+        except (OverflowError, ZeroDivisionError):  # a factor overflows or p^(2m) underflows
+            pass
+    if not math.isfinite(moment):
+        raise QPerceptError(f"the posterior moment of order {m} overflows at p = {p}")
+    return moment
 
 
 def averaged_posterior(n: float) -> float:

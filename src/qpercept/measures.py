@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -24,6 +24,7 @@ from .errors import (
     UnknownLabel,
     ValidationError,
     ZeroMeasure,
+    check_finite,
 )
 from .hypotheses import ExperienceFamily, ExperienceSpec, realize, realize_stack
 from .manyworlds import gram_metric
@@ -91,23 +92,24 @@ class PerceptionSpace:
         """
         names = tuple(axes.keys())
         arrays = [np.asarray(a, dtype=float) for a in axes.values()]
+        axis_weights = []
         for name, arr in zip(names, arrays):
             if arr.ndim != 1 or len(arr) < 2:
                 raise ValidationError(f"axis {name!r} needs at least two points")
-            if not np.all(np.diff(arr) > 0):
+            # on an increasing axis finite ends make every value finite (NaN fails to increase)
+            check_finite(f"axis {name!r} ends", arr[0], arr[-1])
+            half = np.diff(arr)
+            if not np.all(half > 0):
                 raise ValidationError(f"axis {name!r} must be strictly increasing")
-        axis_weights = []
-        for arr in arrays:
-            w = np.zeros_like(arr)
-            w[:-1] += np.diff(arr) / 2
-            w[1:] += np.diff(arr) / 2
+            half /= 2
+            w = np.empty_like(arr)
+            w[0], w[-1] = half[0], half[-1]
+            np.add(half[:-1], half[1:], out=w[1:-1])
             axis_weights.append(w)
-        mesh = np.meshgrid(*arrays, indexing="ij")
-        pts = np.column_stack([m.reshape(-1) for m in mesh])
-        wmesh = np.meshgrid(*axis_weights, indexing="ij")
-        weights = np.ones(pts.shape[0])
-        for wm in wmesh:
-            weights = weights * wm.reshape(-1)
+        # one copy of the broadcast mesh; the weights are the axes' outer product,
+        # in axis order, so each is ((w0 * w1) * w2)... as a running product would be
+        pts = np.stack(np.meshgrid(*arrays, indexing="ij", copy=False), axis=-1).reshape(-1, len(arrays))
+        weights = reduce(np.multiply.outer, axis_weights).reshape(-1)
         if prior_density is not None:
             dens = np.asarray(prior_density(*[pts[:, i] for i in range(pts.shape[1])]), dtype=float)
             if dens.shape != (pts.shape[0],):
@@ -135,12 +137,13 @@ class MeasureProfile:
     """Per-point measure density over a perception space.
 
     total_measure is the weighted sum of the density; the summation order is
-    fixed (index-ascending pairwise) so totals are reproducible.
+    fixed (index-ascending pairwise) so totals are reproducible.  None
+    computes it; a given total must agree with it.
     """
 
     space: PerceptionSpace
     density: np.ndarray
-    total_measure: float
+    total_measure: Optional[float] = None
 
     def __post_init__(self):
         m = np.asarray(self.density, dtype=float)
@@ -152,13 +155,18 @@ class MeasureProfile:
             raise ValidationError("density values must be nonnegative")
         m.setflags(write=False)
         object.__setattr__(self, "density", m)
-        total = float(np.sum(m * self.space.weights))
-        if abs(total - self.total_measure) > 1e-10 * max(1.0, abs(total)):
+        total = float(np.sum(self.point_measures))
+        if self.total_measure is None:
+            object.__setattr__(self, "total_measure", total)
+        elif abs(total - self.total_measure) > 1e-10 * max(1.0, abs(total)):
             raise ValidationError("total_measure inconsistent with density and weights")
 
-    @property
+    @cached_property
     def point_measures(self) -> np.ndarray:
-        return self.density * self.space.weights
+        """density * weight at every point, formed once and read-only."""
+        out = self.density * self.space.weights
+        out.setflags(write=False)
+        return out
 
     def resolve(self, p) -> int:
         """Accept an integer index or a label and return the index."""
@@ -187,12 +195,10 @@ class MeasureProfile:
 
 def profile_from_density(space: PerceptionSpace, density, tol: float = DEFAULT_TOL) -> MeasureProfile:
     """Build a profile from raw density values, clamping tiny negatives to 0."""
-    m = np.asarray(density, dtype=float).copy()
-    if np.any(m < -tol):
+    raw = np.asarray(density, dtype=float)
+    if np.any(raw < -tol):
         raise InvalidExperience("density below the negativity tolerance")
-    np.clip(m, 0.0, None, out=m)
-    total = float(np.sum(m * space.weights))
-    return MeasureProfile(space=space, density=m, total_measure=total)
+    return MeasureProfile(space=space, density=np.clip(raw, 0.0, None))
 
 
 def _density(val: complex, tol: float) -> float:
@@ -325,6 +331,7 @@ def dual_typicality(profile: MeasureProfile, p) -> float:
 
 def typicality_of_density(profile: MeasureProfile, density_value: float) -> float:
     """Typicality evaluated at a density value rather than a stored point."""
+    check_finite("density value", density_value)
     total = _check_total(profile)
     mask = profile.density <= density_value
     return float(np.sum(profile.point_measures[mask]) / total)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qpercept import inference, toymodels
 from qpercept.errors import QPerceptError, UnknownLabel, ValidationError
 from qpercept.hypotheses import ExperienceFamily, Explicit
-from qpercept.measures import PerceptionSpace, profile_from_density, typicality
+from qpercept.measures import PerceptionSpace, profile_from_density, typicality, typicality_of_density
 from qpercept.operators import State, identity
 
 any_float = st.floats(allow_nan=True, allow_infinity=True)
@@ -24,8 +24,19 @@ def _scalar(out):
     return [out]
 
 
+# a small circle profile for the typicality of an arbitrary density value
+CIRCLE = profile_from_density(PerceptionSpace.grid({"phi": PHIS}), toymodels.circle_density_array(1.0, PHIS))
+
+
+def _grid_values(space):
+    return np.concatenate([space.weights, space.points.ravel()])
+
+
 # each function, its arity, and the values of its result that must be finite
 PUBLIC = {
+    "posterior_moment": (inference.posterior_moment, 2, _scalar),
+    "typicality_of_density": (lambda v: typicality_of_density(CIRCLE, v), 1, _scalar),
+    "PerceptionSpace.grid": (lambda *axis: PerceptionSpace.grid({"x": np.array(axis)}), 3, _grid_values),
     "posterior_density": (inference.posterior_density, 2, _scalar),
     "dual_posterior": (inference.dual_posterior, 2, _scalar),
     "dual_posterior_moment": (inference.dual_posterior_moment, 2, _scalar),
@@ -75,6 +86,13 @@ def test_raises_a_qpercept_error_or_returns_finite_values(name, data):
         lambda: toymodels.circle_density_array(math.inf, PHIS),
         lambda: toymodels.ball_prior_weight(math.nan, 0.0, 0.0),
         lambda: toymodels.ball_experience(0.0, math.nan, 0.0),
+        lambda: inference.posterior_moment(math.nan, 1),
+        lambda: inference.posterior_moment(1.0, math.inf),
+        lambda: typicality_of_density(CIRCLE, math.nan),
+        lambda: typicality_of_density(CIRCLE, -math.inf),
+        lambda: PerceptionSpace.grid({"x": [0.0, 1.0, math.inf]}),
+        lambda: PerceptionSpace.grid({"x": [-math.inf, 0.0, 1.0]}),
+        lambda: PerceptionSpace.grid({"x": [0.0, math.nan, 1.0]}),
     ],
 )
 def test_non_finite_and_out_of_range_inputs_are_validation_errors(call):
@@ -95,11 +113,29 @@ def test_an_overflowing_posterior_density_is_a_computation_failure():
         lambda: inference.dual_posterior_moment(1e-200, 1),  # p * p is 0
         lambda: inference.dual_posterior_moment(1.0, 171),  # I_343 is inf
         lambda: inference.dual_posterior_moment(1.0, 1e300),
+        lambda: inference.dual_posterior_moment(1.0, 10**400),  # no float holds the order
     ],
 )
 def test_an_overflowing_dual_posterior_is_a_computation_failure(call):
     with pytest.raises(QPerceptError, match="overflows") as exc:
         call()
+    assert not isinstance(exc.value, ValidationError)
+
+
+@pytest.mark.parametrize(
+    "p, m",
+    [
+        (1.0, 1000),  # above order 268 no p keeps both p^(2m) and the moment in range
+        (1.0, 150),  # (301)!! / 151 is inf
+        (1e-200, 1),  # p * p is 0
+        (1e200, 1),  # p * p is inf
+        (1.0, 1e300),
+        (1.0, 10**400),  # no float holds the order
+    ],
+)
+def test_an_overflowing_posterior_moment_is_a_computation_failure(p, m):
+    with pytest.raises(QPerceptError, match="overflows") as exc:
+        inference.posterior_moment(p, m)
     assert not isinstance(exc.value, ValidationError)
 
 

@@ -234,6 +234,41 @@ def test_typicality_sphere_grid_matches_closed_form():
         assert typicality_of_density(prof, density) == pytest.approx(expected, abs=2e-3)
 
 
+def _grid_oracle(arrays):
+    """Points and trapezoid weights as a meshgrid copy and a running product from ones."""
+    axis_weights = []
+    for arr in arrays:
+        w = np.zeros_like(arr)
+        w[:-1] += np.diff(arr) / 2
+        w[1:] += np.diff(arr) / 2
+        axis_weights.append(w)
+    pts = np.column_stack([m.reshape(-1) for m in np.meshgrid(*arrays, indexing="ij")])
+    weights = np.ones(pts.shape[0])
+    for wm in np.meshgrid(*axis_weights, indexing="ij"):
+        weights = weights * wm.reshape(-1)
+    return pts, weights
+
+
+@pytest.mark.parametrize("sizes", [(2,), (1001,), (7, 2), (40, 33), (5, 2, 9)])
+def test_grid_points_and_weights_equal_the_meshgrid_oracle(rng, sizes):
+    arrays = [np.cumsum(rng.uniform(0.01, 1.0, n)) - 3.0 for n in sizes]
+    space = PerceptionSpace.grid({f"x{k}": a for k, a in enumerate(arrays)})
+    pts, weights = _grid_oracle(arrays)
+    assert np.array_equal(space.points, pts) and np.array_equal(space.weights, weights)
+    assert not space.points.flags.writeable and not space.weights.flags.writeable
+
+
+def test_profile_products_are_formed_once_and_read_only():
+    prof = circle_profile(1.0, points=101)
+    assert prof.point_measures is prof.point_measures
+    assert not prof.point_measures.flags.writeable
+    assert np.array_equal(prof.point_measures, prof.density * prof.space.weights)
+    assert prof.total_measure == float(np.sum(prof.density * prof.space.weights))
+    assert MeasureProfile(prof.space, prof.density).total_measure == prof.total_measure
+    with pytest.raises(ValidationError, match="inconsistent"):
+        MeasureProfile(prof.space, prof.density, prof.total_measure + 1.0)
+
+
 def test_tie_semantics_inflate_both_sides():
     space = PerceptionSpace.discrete(list("abcd"))
     prof = profile_from_density(space, np.array([1.0, 2.0, 2.0, 3.0]))

@@ -11,7 +11,7 @@ from qpercept import toymodels
 from qpercept.errors import DegenerateInput, ValidationError
 from qpercept.hypotheses import realize
 from qpercept.measures import PerceptionSpace, profile_from_density, typicality_of_density
-from qpercept.operators import State, bloch_projector, expectation
+from qpercept.operators import State, bloch_projector, expectation, identity, tensor_product
 from qpercept.toymodels import (
     Direction,
     EprCatReport,
@@ -255,6 +255,31 @@ def test_pole_kernel_matches_the_vector_route_at_seed_42():
     assert oracle == linear_positivity_fraction(samples, 42).hits == 333854
 
 
+def test_one_draw_per_block_is_the_four_uniform_stream(monkeypatch):
+    # small blocks keep 200 seeds cheap; 2500 samples end in a partial block
+    monkeypatch.setattr(toymodels, "BLOCK", 1000)
+    sizes = (1000, 1000, 500)
+    recorded = []
+    mask = toymodels._linpos_mask
+
+    def recording(aq, ar, qr):
+        recorded.append((aq.copy(), ar.copy()))
+        return mask(aq, ar, qr)
+
+    monkeypatch.setattr(toymodels, "_linpos_mask", recording)
+    for seed in range(200):
+        recorded.clear()
+        hits = linear_positivity_fraction(sum(sizes), seed).hits
+        oracle_hits = 0
+        for block, size in enumerate(sizes):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
+            qs, rs = sphere_directions(rng, size), sphere_directions(rng, size)
+            assert np.array_equal(recorded[block][0], qs[:, 2])
+            assert np.array_equal(recorded[block][1], rs[:, 2])
+            oracle_hits += int(np.count_nonzero(mask(qs[:, 2], rs[:, 2], np.einsum("ij,ij->i", qs, rs))))
+        assert hits == oracle_hits
+
+
 def test_linear_positivity_stream_is_not_the_sphere_stream(monkeypatch):
     # sphere_checks(42) draws its uniforms u from default_rng(42); the polar
     # cosines of the linear-positivity sample must not be 2u - 1 of them
@@ -388,6 +413,29 @@ def test_epr_region_a_measures_equal_and_angle_independent():
         assert rep.mu_up_a == rep.mu_down_a
         values.append(rep.mu_up_a)
     assert np.ptp(values) == 0.0
+
+
+def _epr_per_call(theta: float) -> EprCatReport:
+    """Oracle: every operator of the experiment built afresh for each angle."""
+    up, down = np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)
+    rho = State.pure((np.kron(up, down) - np.kron(down, up)) / math.sqrt(2))
+    p0, p1 = toymodels._P0, toymodels._P1
+    b_up = bloch_projector(theta, 0.0)
+    b_down = identity(2) - b_up
+
+    def mu(a, b):
+        return float(expectation(rho, tensor_product(a, b)).real)
+
+    confused = toymodels._cat_measure([identity(2), p0, p1]) + toymodels._cat_measure([identity(2), p1, p0])
+    return EprCatReport(
+        theta, mu(p0, identity(2)), mu(p1, identity(2)), mu(p0, b_up), mu(p0, b_down),
+        mu(p1, b_up), mu(p1, b_down), confused,
+    )
+
+
+def test_epr_model_equals_a_per_call_construction():
+    for theta in np.linspace(0.0, math.pi, 50):
+        assert epr_cat_model(float(theta)) == _epr_per_call(float(theta))
 
 
 def test_epr_tan_squared_ratio():
