@@ -432,12 +432,16 @@ def test_experiment_k_property(k):
 
 
 def test_cold_cli_never_imports_scipy():
-    # scipy costs most of a cold start; only `reproduce` may load it
+    # scipy costs most of a cold start, and no subcommand needs it; the tests
+    # keep it as an oracle only
     code = (
-        "import sys, qpercept.cli\n"
+        "import contextlib, io, sys, qpercept.cli\n"
         "assert 'scipy' not in sys.modules, 'import'\n"
         "assert qpercept.cli.main(['sqmn', 'moments', '--p', '1.3']) == 0\n"
         "assert 'scipy' not in sys.modules, 'sqmn moments'\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert qpercept.cli.main(['reproduce', '--seed', '42']) == 1\n"
+        "assert 'scipy' not in sys.modules, 'reproduce'\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_subprocess_env()

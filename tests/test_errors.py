@@ -49,6 +49,9 @@ PUBLIC = {
     "ball_prior_weight": (toymodels.ball_prior_weight, 3, _scalar),
     "ball_experience": (toymodels.ball_experience, 3, lambda out: out.mat.view(float)),
     "from_bloch": (State.from_bloch, 2, lambda out: out.mat.view(float)),
+    "averaged_posterior": (inference.averaged_posterior, 1, _scalar),
+    # a gaussian, whose nodes reach the whole float range as the ends do
+    "de_quad": (lambda a, b: inference.de_quad(lambda x: math.exp(-x * x), a, b), 2, list),
 }
 
 
@@ -93,11 +96,32 @@ def test_raises_a_qpercept_error_or_returns_finite_values(name, data):
         lambda: PerceptionSpace.grid({"x": [0.0, 1.0, math.inf]}),
         lambda: PerceptionSpace.grid({"x": [-math.inf, 0.0, 1.0]}),
         lambda: PerceptionSpace.grid({"x": [0.0, math.nan, 1.0]}),
+        lambda: inference.averaged_posterior(math.nan),
+        lambda: inference.averaged_posterior(math.inf),
+        lambda: inference.averaged_posterior(0.0),
+        lambda: inference.de_quad(math.exp, math.nan),
+        lambda: inference.de_quad(math.exp, math.inf),
+        lambda: inference.de_quad(math.exp, 0.0, math.nan),
+        lambda: inference.de_quad(math.exp, 0.0, -math.inf),
     ],
 )
 def test_non_finite_and_out_of_range_inputs_are_validation_errors(call):
     with pytest.raises(ValidationError):
         call()
+
+
+@pytest.mark.parametrize(
+    "f, a, b",
+    [
+        (lambda x: math.nan, 0.0, 1.0),
+        (lambda x: x**10, 0.0, math.inf),  # x^10 times its weight overflows at the far end
+        (lambda x: 0.0, -1e308, 1e308),  # the half-width overflows, and 0 * inf is nan
+    ],
+)
+def test_a_non_finite_integrand_is_a_computation_failure(f, a, b):
+    with pytest.raises(QPerceptError, match="not finite") as exc:
+        inference.de_quad(f, a, b)
+    assert not isinstance(exc.value, ValidationError)
 
 
 def test_an_overflowing_posterior_density_is_a_computation_failure():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from qpercept.inference import (
     bayes_update,
     canonical_digit_experiment,
     confidence_bound,
+    de_quad,
     digit_experiment,
     dual_normalization,
     dual_posterior,
@@ -147,6 +149,70 @@ def test_averaged_posterior_tail_power_law():
     assert averaged_posterior(n) / ((4 / (3 * math.pi)) * n**-1.5) == pytest.approx(
         1.0, abs=1e-2
     )
+
+
+@pytest.mark.parametrize("n", [1e8, 1e10, 1e12, 1e14, 1e16, 1e20, 1e50, 1e100, 1e200, 1e204, 1e210, 1e300])
+def test_averaged_posterior_keeps_its_tail_at_large_n(n):
+    # here the closed form cancels: it is 7.8e-5 off at 1e12, 0.0 at 1e16 and
+    # 8.6e-167 at 1e300, where the true value underflows; below the smallest
+    # normal double only an absolute tolerance means anything
+    asymptote = (4 / (3 * math.pi)) * n**-1.5 * (1 - (6 / 5) / n)
+    assert math.isclose(averaged_posterior(n), asymptote, rel_tol=1e-12, abs_tol=1e-12 * sys.float_info.min)
+
+
+def test_averaged_posterior_series_meets_the_closed_form():
+    # the series takes over at n = 100, where the closed form has lost only
+    # two digits to cancellation
+    for n in (99.0, math.nextafter(100.0, 0.0), 100.0, 101.0):
+        closed = (2 / math.pi) * (math.atan(1 / math.sqrt(n)) - math.sqrt(n) / (n + 1))
+        assert averaged_posterior(n) == pytest.approx(closed, rel=1e-13)
+
+
+# the quadrature's two integrands in the reference battery
+BATTERY_INTEGRANDS = {
+    "posterior-mean": (lambda n: n * posterior_density(1.0, n), 1.5),
+    "averaged-posterior-norm": (averaged_posterior, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", BATTERY_INTEGRANDS)
+def test_de_quad_matches_quad_on_the_battery_integrands(name):
+    f, exact = BATTERY_INTEGRANDS[name]
+    value, abserr = de_quad(f, 0.0)
+    # quad needs the averaged posterior's n^(-3/2) tail split off and substituted
+    head, _ = integrate.quad(f, 0, 1, epsabs=1e-13)
+    tail, _ = integrate.quad(lambda u: f(1.0 / (u * u)) * 2.0 / u**3, 1e-12, 1, epsabs=1e-13)
+    assert value == pytest.approx(head + tail, abs=1e-10)
+    assert abs(value - exact) <= abserr < 1e-12
+
+
+@pytest.mark.parametrize(
+    "f, a, b, exact",
+    [
+        (lambda x: math.exp(-x), 0.0, math.inf, 1.0),
+        (math.sqrt, 0.0, 1.0, 2 / 3),
+        (math.sqrt, 1.0, 0.0, -2 / 3),
+        (lambda x: x**-1.5, 1.0, math.inf, 2.0),
+        (lambda x: 1 / (1 + x * x), -1.0, 1.0, math.pi / 2),
+        # the window stops near x = 5e30, and the 5 x^(-1/5) beyond it is about
+        # 3.6e-6, far above the last difference of levels: only the end terms
+        # can carry it into the bound
+        (lambda x: x**-1.2, 1.0, math.inf, 5.0),
+    ],
+)
+def test_de_quad_error_bound_is_honest(f, a, b, exact):
+    value, abserr = de_quad(f, a, b)
+    assert abs(value - exact) <= abserr
+
+
+def test_de_quad_bound_keeps_the_cut_tail_when_the_levels_agree():
+    # the levels agree to the last bit and the value is exact in floating point,
+    # yet the window cuts off the head of [0, e^(-70.7)]: the bound says so
+    value, abserr = de_quad(lambda x: math.exp(-x), 0.0)
+    assert value == 1.0
+    assert 0 < abserr < 1e-25
+    value, abserr = de_quad(lambda x: x**-1.2, 1.0)
+    assert 5 - value > 1e-6 and abserr >= 5 - value
 
 
 @pytest.mark.parametrize("n", [0.5, 1.0, 2.0])

@@ -55,11 +55,20 @@ def test_checks_coerce_numpy_scalars_to_plain_json_values():
         "name": "x", "expected": 1.0, "observed": 1.0, "tolerance": 0.5, "pass": True,
     }
     assert reproduce.Check("y", np.float32(0.0), np.float64(2.0), np.float64(1.0)).passed is False
+    out = reproduce.Check("z", 1.0, 1.0, 0.0, abserr=np.float64(1e-14)).to_json()
+    assert type(out["abserr"]) is float and list(out)[-1] == "abserr"
 
 
 @pytest.fixture(scope="module")
 def full_battery():
     return reproduce.run_all()
+
+
+def test_the_quadrature_checks_carry_an_honest_error_bound(full_battery):
+    bounded = {c.name: c for c in full_battery if c.abserr is not None}
+    assert sorted(bounded) == ["averaged-posterior-norm", "posterior-mean-quadrature"]
+    for check in bounded.values():
+        assert abs(check.observed - check.expected) <= check.abserr < 1e-12
 
 
 def test_a_filtered_battery_runs_only_the_matching_groups(full_battery):
