@@ -172,6 +172,13 @@ def bloch_projector(polar: float, azimuth: float) -> Operator:
     return Operator(0.5 * np.array([[1 + c, s * phase], [s * phase.conjugate(), 1 - c]]))
 
 
+def bloch_vector(polar: float, azimuth: float) -> tuple[float, float, float]:
+    """Bloch vector Tr(P sigma_i) of P = bloch_projector(polar, azimuth), whose
+    entry P[0, 1] = sin(polar) e^(i azimuth) / 2 makes y = -sin(polar) sin(azimuth)."""
+    s = math.sin(polar)
+    return (s * math.cos(azimuth), -s * math.sin(azimuth), math.cos(polar))
+
+
 def from_params(p: ParamPositiveOp) -> Operator:
     """Positive 2x2 operator [[t+z, x+iy], [x-iy, t-z]]."""
     return Operator(

@@ -1,7 +1,14 @@
 """Worked two-state models: ball, circle, and sphere perception families,
 two-step history diagnostics, and the paired-spin / cat measures.
 
-Angles are radians throughout.  The linear-positivity Monte Carlo is
+Angles are radians throughout.  The two-step diagnostics are closed forms in
+four numbers of the Bloch vectors a (state), q and r (projectors Q and R):
+a.q, a.r, q.r and a.(q x r).  QRQ = ((1 + q.r)/2) Q gives the history measures
+(1 +- a.q)(1 +- q.r)/4 and the residual Tr rho(QR - QRQ) =
+(a.r - (a.q)(q.r) + i a.(q x r))/4 (Goldstein & Page, PRL 74, 3715 (1995)).
+A spherical triangle with unit vertices s, q, r has solid angle
+2 atan2(|s.(q x r)|, 1 + s.q + q.r + r.s) (Van Oosterom & Strackee, IEEE
+Trans. Biomed. Eng. 30, 125 (1983)).  The linear-positivity Monte Carlo is
 evaluated at the pole: each (Q, R) pair needs only two polar cosines and an
 azimuth difference.  It draws blocks of BLOCK samples, block b from
 SeedSequence(seed, spawn_key=(b,)), so memory is constant in the sample count
@@ -17,14 +24,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateInput, ValidationError, check_finite
-from .hypotheses import ExperienceFamily, Explicit, ProjectionSequence, realize
+from .errors import DegenerateInput, DimensionMismatch, ValidationError, check_finite
+from .hypotheses import ExperienceFamily, Explicit, ProjectionSequence
 from .measures import measure_density
 from .operators import (
     Operator,
     ParamPositiveOp,
     State,
     bloch_projector,
+    bloch_vector,
     check_bloch_angles,
     expectation,
     from_params,
@@ -44,10 +52,8 @@ class Direction:
         check_bloch_angles(self.polar, self.azimuth)
 
     def unit_vector(self) -> np.ndarray:
-        s = math.sin(self.polar)
-        return np.array(
-            [s * math.cos(self.azimuth), s * math.sin(self.azimuth), math.cos(self.polar)]
-        )
+        """The Bloch vector of bloch_projector at this direction."""
+        return np.array(bloch_vector(self.polar, self.azimuth))
 
 
 # ---------------------------------------------------------------------------
@@ -208,27 +214,35 @@ def two_step_analysis(
     r_dir: Direction,
     state: Optional[State] = None,
 ) -> TwoStepReport:
-    """Evaluate the two-step decoherence conditions for given directions."""
-    q = bloch_projector(q_dir.polar, q_dir.azimuth)
-    r = bloch_projector(r_dir.polar, r_dir.azimuth)
-    rho = state if state is not None else State.from_bloch(state_dir.polar, state_dir.azimuth)
+    """Evaluate the two-step decoherence conditions for given directions.
 
-    family = two_step_family(q, r)
-    measures = tuple(
-        float(expectation(rho, realize(spec)).real) for _, spec, _ in family.entries
+    A given state (pure or mixed) replaces the pure state along state_dir.
+    """
+    a = bloch_vector(state_dir.polar, state_dir.azimuth) if state is None else _pauli_vector(state).tolist()
+    aq, ar, qr, triple = _bloch_invariants(
+        a, bloch_vector(q_dir.polar, q_dir.azimuth), bloch_vector(r_dir.polar, r_dir.azimuth)
     )
-
-    qr = q.mat @ r.mat
-    qrq = qr @ q.mat
-    cross = complex(np.trace(rho.mat @ (qr - qrq)))
-    a, qv, rv = _pauli_vector(rho), _pauli_vector(q), _pauli_vector(r)
-
+    weak = 0.5 * (ar - aq * qr)
     return TwoStepReport(
-        weak_residual=2.0 * cross.real,
-        medium_residual=abs(cross),
-        linearly_positive=bool(_linpos_mask(a @ qv, a @ rv, qv @ rv)),
-        measures=measures,  # type: ignore[arg-type]
+        weak_residual=weak,
+        medium_residual=math.hypot(0.5 * weak, 0.25 * triple),
+        linearly_positive=bool(_linpos_mask(aq, ar, qr)),
+        # <(I +- Q)/2> times the factor (1 +- q.r)/2 of QRQ, in two_step_family order
+        measures=tuple(0.25 * (1.0 + e * aq) * (1.0 + f * qr) for e, f in ((1, 1), (-1, -1), (1, -1), (-1, 1))),
     )
+
+
+def _dot(x, y) -> float:
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
+def _cross(x, y) -> tuple[float, float, float]:
+    return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
+
+
+def _bloch_invariants(a, q, r) -> tuple[float, float, float, float]:
+    """(a.q, a.r, q.r, a.(q x r)) of three Bloch vectors, in scalar arithmetic."""
+    return _dot(a, q), _dot(a, r), _dot(q, r), _dot(a, _cross(q, r))
 
 
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -236,6 +250,8 @@ _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 def _pauli_vector(x) -> np.ndarray:
     """Bloch vector Tr(X sigma_i) of a qubit state or operator X."""
+    if x.dim != 2:
+        raise DimensionMismatch(f"a Bloch vector needs a 2-dimensional operator, got dim {x.dim}")
     return np.einsum("ij,kji->k", x.mat, _PAULI).real
 
 
@@ -304,36 +320,6 @@ def linear_positivity_fraction(samples: int, seed: int) -> MonteCarloFraction:
 # spherical-triangle geometry of the two-step conditions
 
 
-def spherical_triangle_solid_angle(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Solid angle of the spherical triangle with unit-vector vertices.
-
-    Interior corner angles come from the tangents of the great-circle arcs at
-    each vertex; the excess of their sum over pi is the area.  Broadcasts over
-    leading axes.
-    """
-
-    def corner(p, q, r):
-        tq = q - np.sum(p * q, axis=-1, keepdims=True) * p
-        tr = r - np.sum(p * r, axis=-1, keepdims=True) * p
-        cross = np.cross(tq, tr)
-        sin_a = np.linalg.norm(cross, axis=-1)
-        cos_a = np.sum(tq * tr, axis=-1)
-        return np.arctan2(sin_a, cos_a)
-
-    return corner(a, b, c) + corner(b, c, a) + corner(c, a, b) - math.pi
-
-
-def _eight_triangle_areas(s: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Areas of the eight regions cut by the three great circles through
-    each pair of +-s, +-q, +-r; one region per sign choice of the vertices."""
-    signs = np.array(
-        [(es, eq, er) for es in (1, -1) for eq in (1, -1) for er in (1, -1)], dtype=float
-    )
-    # one broadcast call over a sign axis just before the vector axis
-    s8, q8, r8 = (np.asarray(v)[..., np.newaxis, :] * signs[:, [k]] for k, v in enumerate((s, q, r)))
-    return spherical_triangle_solid_angle(s8, q8, r8)
-
-
 @dataclass(frozen=True)
 class TriangleReport:
     status: str  # "ok" or "degenerate"
@@ -352,15 +338,20 @@ def triangle_equivalence(
     triangle exceeds solid angle pi.  Nearly parallel or antipodal direction
     pairs are reported as degenerate and skipped.
     """
-    s, q, r = state_dir.unit_vector(), q_dir.unit_vector(), r_dir.unit_vector()
+    s, q, r = (bloch_vector(d.polar, d.azimuth) for d in (state_dir, q_dir, r_dir))
     for x, y in ((s, q), (s, r), (q, r)):
-        angle = math.atan2(float(np.linalg.norm(np.cross(x, y))), float(np.dot(x, y)))
+        angle = math.atan2(math.hypot(*_cross(x, y)), _dot(x, y))
         if angle < cutoff or math.pi - angle < cutoff:
             return TriangleReport("degenerate", None, None, None)
-    areas = _eight_triangle_areas(s, q, r)
-    all_sub_pi = bool(np.all(areas <= math.pi + 1e-9))
-    linpos = bool(_linpos_mask(s @ q, s @ r, q @ r))
-    return TriangleReport("ok", linpos, all_sub_pi, tuple(float(a) for a in areas))
+    sq, sr, qr, triple = _bloch_invariants(s, q, r)
+    # one triangle (es s, eq q, er r) per sign choice
+    areas = tuple(
+        2.0 * math.atan2(abs(triple), 1.0 + es * eq * sq + es * er * sr + eq * er * qr)
+        for es in (1, -1) for eq in (1, -1) for er in (1, -1)
+    )
+    all_sub_pi = all(area <= math.pi + 1e-9 for area in areas)
+    linpos = bool(_linpos_mask(sq, sr, qr))
+    return TriangleReport("ok", linpos, all_sub_pi, areas)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qpercept import toymodels
-from qpercept.operators import Operator, State, haar_random_unitary
+from qpercept.hypotheses import realize
+from qpercept.operators import Operator, State, expectation, haar_random_unitary
 
 
 def random_state(rng: np.random.Generator, dim: int) -> State:
@@ -36,6 +37,53 @@ def sphere_directions(rng: np.random.Generator, count: int) -> np.ndarray:
 def vector_linpos(s: np.ndarray, qs: np.ndarray, rs: np.ndarray) -> np.ndarray:
     """Oracle: the interval condition on Bloch-vector dot products, state s."""
     return toymodels._linpos_mask(qs @ s, rs @ s, np.einsum("ij,ij->i", qs, rs))
+
+
+def matrix_route_linpos(rho: State, q: Operator, r: Operator) -> bool:
+    """Oracle: max(0, <Q+R-I>) <= Re <QR> <= min(<Q>, <R>) from the matrices."""
+    exp_q = expectation(rho, q).real
+    exp_r = expectation(rho, r).real
+    re_qr = np.trace(rho.mat @ q.mat @ r.mat).real
+    eps = 1e-12
+    return max(0.0, exp_q + exp_r - 1.0) <= re_qr + eps and re_qr <= min(exp_q, exp_r) + eps
+
+
+def two_step_matrix_route(rho: State, q: Operator, r: Operator):
+    """Oracle: the realized two_step_family measures, Tr rho(QR - QRQ) and the
+    interval condition, all from 2x2 matrices."""
+    measures = [expectation(rho, realize(spec)).real for _, spec, _ in toymodels.two_step_family(q, r).entries]
+    cross = complex(np.trace(rho.mat @ (q.mat @ r.mat - q.mat @ r.mat @ q.mat)))
+    return measures, cross, matrix_route_linpos(rho, q, r)
+
+
+def spherical_triangle_solid_angle(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Oracle: solid angle of the spherical triangle with unit-vector vertices.
+
+    Interior corner angles come from the tangents of the great-circle arcs at
+    each vertex; the excess of their sum over pi is the area.  Broadcasts over
+    leading axes.
+    """
+
+    def corner(p, q, r):
+        tq = q - np.sum(p * q, axis=-1, keepdims=True) * p
+        tr = r - np.sum(p * r, axis=-1, keepdims=True) * p
+        cross = np.cross(tq, tr)
+        sin_a = np.linalg.norm(cross, axis=-1)
+        cos_a = np.sum(tq * tr, axis=-1)
+        return np.arctan2(sin_a, cos_a)
+
+    return corner(a, b, c) + corner(b, c, a) + corner(c, a, b) - math.pi
+
+
+def eight_triangle_areas(s: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Oracle: areas of the eight regions cut by the three great circles through
+    each pair of +-s, +-q, +-r; one region per sign choice of the vertices."""
+    signs = np.array(
+        [(es, eq, er) for es in (1, -1) for eq in (1, -1) for er in (1, -1)], dtype=float
+    )
+    # one broadcast call over a sign axis just before the vector axis
+    s8, q8, r8 = (np.asarray(v)[..., np.newaxis, :] * signs[:, [k]] for k, v in enumerate((s, q, r)))
+    return spherical_triangle_solid_angle(s8, q8, r8)
 
 
 @pytest.fixture

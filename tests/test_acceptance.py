@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from conftest import random_projector, random_state, sphere_directions, vector_linpos
+from conftest import eight_triangle_areas, random_projector, random_state, sphere_directions, vector_linpos
 from qpercept import inference, toymodels
 from qpercept.hypotheses import ExperienceFamily, Explicit, awareness_operator, realize
 from qpercept.manyworlds import (
@@ -39,7 +39,7 @@ from qpercept.manyworlds import (
 from qpercept.measures import PerceptionSpace, profile_from_density, typicality_curves
 from qpercept.operators import State, expectation
 from qpercept.reproduce import circle_grid_typicality, linpos_check, sqmn_checks
-from qpercept.toymodels import Direction, _eight_triangle_areas
+from qpercept.toymodels import Direction
 
 SEED = 42
 
@@ -330,7 +330,7 @@ def test_criterion_10_property_suites(rng):
     s = np.array([0.0, 0.0, 1.0])
     qs = sphere_directions(gen, n_tri)
     rs = sphere_directions(gen, n_tri)
-    areas = _eight_triangle_areas(s, qs, rs)
+    areas = eight_triangle_areas(s, qs, rs)
     geometric = np.all(areas <= math.pi + 1e-9, axis=-1)
     algebraic = vector_linpos(s, qs, rs)
     agreement = float(np.mean(geometric == algebraic))

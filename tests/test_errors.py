@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpercept import inference, toymodels
-from qpercept.errors import QPerceptError, UnknownLabel, ValidationError
+from qpercept.errors import DimensionMismatch, QPerceptError, UnknownLabel, ValidationError
 from qpercept.hypotheses import ExperienceFamily, Explicit
 from qpercept.measures import PerceptionSpace, profile_from_density, typicality, typicality_of_density
 from qpercept.operators import State, identity
@@ -32,6 +32,14 @@ def _grid_values(space):
     return np.concatenate([space.weights, space.points.ravel()])
 
 
+def _directions(angles):
+    return [toymodels.Direction(*angles[i : i + 2]) for i in (0, 2, 4)]
+
+
+def _two_step_values(rep):
+    return [rep.weak_residual, rep.medium_residual, *rep.measures]
+
+
 # each function, its arity, and the values of its result that must be finite
 PUBLIC = {
     "posterior_moment": (inference.posterior_moment, 2, _scalar),
@@ -52,6 +60,9 @@ PUBLIC = {
     "averaged_posterior": (inference.averaged_posterior, 1, _scalar),
     # a gaussian, whose nodes reach the whole float range as the ends do
     "de_quad": (lambda a, b: inference.de_quad(lambda x: math.exp(-x * x), a, b), 2, list),
+    # six angles: the state, Q and R directions
+    "two_step_analysis": (lambda *a: toymodels.two_step_analysis(*_directions(a)), 6, _two_step_values),
+    "triangle_equivalence": (lambda *a: toymodels.triangle_equivalence(*_directions(a)), 6, lambda out: out.areas or []),
 }
 
 
@@ -108,6 +119,12 @@ def test_raises_a_qpercept_error_or_returns_finite_values(name, data):
 def test_non_finite_and_out_of_range_inputs_are_validation_errors(call):
     with pytest.raises(ValidationError):
         call()
+
+
+def test_a_two_step_state_of_the_wrong_dimension_is_a_dimension_mismatch():
+    direction = toymodels.Direction(0.5, 0.5)
+    with pytest.raises(DimensionMismatch, match="2-dimensional"):
+        toymodels.two_step_analysis(direction, direction, direction, state=State.maximally_mixed(3))
 
 
 @pytest.mark.parametrize(

@@ -1,17 +1,25 @@
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import sphere_directions, vector_linpos
+from conftest import (
+    eight_triangle_areas,
+    matrix_route_linpos,
+    spherical_triangle_solid_angle,
+    sphere_directions,
+    two_step_matrix_route,
+    vector_linpos,
+)
 from qpercept import toymodels
 from qpercept.errors import DegenerateInput, ValidationError
 from qpercept.hypotheses import realize
 from qpercept.measures import PerceptionSpace, profile_from_density, typicality_of_density
-from qpercept.operators import State, bloch_projector, expectation, identity, tensor_product
+from qpercept.operators import State, bloch_projector, bloch_vector, expectation, identity, tensor_product
 from qpercept.toymodels import (
     Direction,
     EprCatReport,
@@ -23,7 +31,6 @@ from qpercept.toymodels import (
     epr_cat_model,
     linear_positivity_fraction,
     sphere_model,
-    spherical_triangle_solid_angle,
     triangle_equivalence,
     two_step_analysis,
     two_step_family,
@@ -202,6 +209,80 @@ def test_two_step_family_realizations_match_report(rng):
         assert expectation(rho, realize(spec)).real == pytest.approx(measure, abs=1e-12)
 
 
+def test_bloch_vector_is_the_map_of_bloch_projector():
+    # a grid with both poles, so sin(polar) = 0 and the azimuth drops out
+    for polar in np.linspace(0.0, math.pi, 9):
+        for azimuth in np.linspace(0.0, 2 * math.pi, 13):
+            vector = bloch_vector(polar, azimuth)
+            assert np.allclose(toymodels._pauli_vector(bloch_projector(polar, azimuth)), vector, rtol=0, atol=1e-15)
+            assert np.array_equal(Direction(polar, azimuth).unit_vector(), vector)
+
+
+def _angles(v) -> tuple[float, float]:
+    """(polar, azimuth) with bloch_vector(polar, azimuth) along v."""
+    return math.atan2(math.hypot(v[0], v[1]), v[2]), math.atan2(-v[1], v[0])
+
+
+def _tangent_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two unit vectors completing the unit vector n to an orthonormal basis."""
+    u = np.cross(n, np.eye(3)[np.argmin(np.abs(n))])
+    u /= np.linalg.norm(u)
+    return u, np.cross(n, u)
+
+
+@st.composite
+def two_step_triples(draw):
+    """Three direction angle pairs: anywhere, on one great circle, or with one
+    pair parallel or antipodal to within 2 to 10 times the 1e-9 cutoff."""
+    kind = draw(st.sampled_from(["any", "coplanar", "near-degenerate"]))
+    if kind == "any":
+        return [draw(st.tuples(polar, azimuth)) for _ in range(3)]
+    pole = np.array(bloch_vector(*draw(st.tuples(polar, azimuth))))
+    u, w = _tangent_basis(pole)
+    if kind == "coplanar":
+        vectors = [math.cos(a) * u + math.sin(a) * w for a in draw(st.lists(azimuth, min_size=3, max_size=3))]
+    else:
+        gap, turn = draw(st.floats(2e-9, 1e-8)), draw(azimuth)
+        near = math.cos(gap) * pole + math.sin(gap) * (math.cos(turn) * u + math.sin(turn) * w)
+        far = bloch_vector(*draw(st.tuples(polar, azimuth)))
+        vectors = [pole, draw(st.sampled_from([1.0, -1.0])) * near, far]
+    return [_angles(v) for v in vectors]
+
+
+@given(angles=two_step_triples(), length=st.one_of(st.none(), st.floats(0.0, 1.0)))
+@settings(max_examples=300, deadline=None)
+def test_closed_forms_match_the_matrix_route_and_the_corner_angles(angles, length):
+    sd, qd, rd = (Direction(*a) for a in angles)
+    q, r = bloch_projector(qd.polar, qd.azimuth), bloch_projector(rd.polar, rd.azimuth)
+    pure = State.from_bloch(sd.polar, sd.azimuth)
+    # length None is the pure state along sd; otherwise a mixed state of that Bloch length
+    rho = pure if length is None else State(length * pure.mat + (1 - length) * np.eye(2) / 2)
+    rep = two_step_analysis(sd, qd, rd, state=None if length is None else rho)
+    measures, cross, linpos = two_step_matrix_route(rho, q, r)
+    assert np.allclose(rep.measures, measures, rtol=0, atol=1e-12)
+    assert rep.weak_residual == pytest.approx(2 * cross.real, abs=1e-12)
+    assert rep.medium_residual == pytest.approx(abs(cross), abs=1e-12)
+    assert rep.linearly_positive == linpos
+
+    tri = triangle_equivalence(sd, qd, rd)
+    vectors = [d.unit_vector() for d in (sd, qd, rd)]
+    arcs = [math.atan2(np.linalg.norm(np.cross(x, y)), x @ y) for x, y in itertools.combinations(vectors, 2)]
+    # each pair's arc from parallel or antipodal, smallest first
+    gaps = sorted(min(arc, math.pi - arc) for arc in arcs)
+    assume(abs(gaps[0] - 1e-9) > 1e-14)  # the two routes round an arc at the cutoff differently
+    assert tri.status == ("ok" if gaps[0] >= 1e-9 else "degenerate")
+    if tri.status == "degenerate":
+        return
+    assert tri.inequality_holds == matrix_route_linpos(pure, q, r)
+    oracle = eight_triangle_areas(*vectors)
+    # near a parallel or antipodal pair the areas are ill-conditioned: on 20,000
+    # clustered triples the two routes parted by at most about 10 eps / (gap_1 gap_2)
+    tol = 1e-12 + 2**10 * np.finfo(float).eps / (gaps[0] * gaps[1])
+    assert np.allclose(tri.areas, oracle, rtol=0, atol=tol)
+    if np.all(np.abs(oracle - (math.pi + 1e-9)) > tol):
+        assert tri.all_triangles_sub_pi == bool(np.all(oracle <= math.pi + 1e-9))
+
+
 # --- linear positivity Monte Carlo ----------------------------------------------
 
 
@@ -313,15 +394,6 @@ def test_linear_positivity_standard_error():
     assert linear_positivity_fraction(1, seed=5).standard_error == 0.0
 
 
-def _matrix_route_linpos(rho: State, q, r) -> bool:
-    """Oracle: max(0, <Q+R-I>) <= Re <QR> <= min(<Q>, <R>) from the matrices."""
-    exp_q = expectation(rho, q).real
-    exp_r = expectation(rho, r).real
-    re_qr = np.trace(rho.mat @ q.mat @ r.mat).real
-    eps = 1e-12
-    return max(0.0, exp_q + exp_r - 1.0) <= re_qr + eps and re_qr <= min(exp_q, exp_r) + eps
-
-
 def test_linear_positivity_matches_matrix_route(rng):
     # the Bloch-vector predicate agrees with the matrix route pointwise, and for
     # pure states also with the eight-triangle picture
@@ -333,7 +405,7 @@ def test_linear_positivity_matches_matrix_route(rng):
         qd, rd = direction_from(rng), direction_from(rng)
         q, r = bloch_projector(qd.polar, qd.azimuth), bloch_projector(rd.polar, rd.azimuth)
         rep = two_step_analysis(state_dir, qd, rd)
-        assert rep.linearly_positive == _matrix_route_linpos(pure, q, r)
+        assert rep.linearly_positive == matrix_route_linpos(pure, q, r)
         tri = triangle_equivalence(state_dir, qd, rd)
         assert tri.status == "ok"
         assert rep.linearly_positive == tri.inequality_holds
@@ -347,7 +419,7 @@ def test_linear_positivity_matches_matrix_route(rng):
         length = rng.uniform(0.0, 1.0)
         rho = State(length * State.from_bloch(sd.polar, sd.azimuth).mat + (1 - length) * np.eye(2) / 2)
         rep = two_step_analysis(sd, qd, rd, state=rho)
-        assert rep.linearly_positive == _matrix_route_linpos(rho, q, r)
+        assert rep.linearly_positive == matrix_route_linpos(rho, q, r)
         hits += rep.linearly_positive
     assert 0 < hits < n
 
@@ -375,6 +447,18 @@ def test_triangle_report_octant():
     assert rep.status == "ok"
     assert rep.inequality_holds and rep.all_triangles_sub_pi
     assert np.allclose(rep.areas, math.pi / 2)
+
+
+@pytest.mark.parametrize("tilt, holds", [(-1e-6, True), (1e-6, False)])
+def test_a_triangle_just_over_pi_breaks_linear_positivity(tilt, holds):
+    # three directions 120 degrees apart in azimuth at polar angle acos(1/3)
+    # span a regular tetrahedron's face, area pi; tilting them toward the
+    # equator makes that triangle just larger than pi and s.q + s.r + q.r < -1
+    polar_angle = math.acos(1 / 3) + tilt
+    rep = triangle_equivalence(*(Direction(polar_angle, k * 2 * math.pi / 3) for k in range(3)))
+    assert rep.status == "ok"
+    assert rep.inequality_holds == rep.all_triangles_sub_pi == holds
+    assert 1e-7 < abs(max(rep.areas) - math.pi) < 1e-4
 
 
 def test_triangle_areas_tile_the_sphere(rng):
