@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the finite-number check."""
+"""Exception types shared across the package, and the input checks they share."""
 import math
+import numbers
 
 
 class QPerceptError(ValueError):
@@ -15,7 +16,7 @@ class ValidationError(QPerceptError):
 
 
 class InvalidExperience(QPerceptError):
-    """An experience operator produced a measure below the negativity tolerance."""
+    """An experience operator produced a measure below -TOL."""
 
 
 class ZeroMeasure(QPerceptError):
@@ -39,3 +40,16 @@ def check_finite(what: str, *values) -> None:
     for value in values:
         if not (isinstance(value, int) or math.isfinite(value)):
             raise ValidationError(f"{what} must be finite, got {value}")
+
+
+def check_seed(seed) -> None:
+    """Raise ValidationError unless the seed is a nonnegative integer."""
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValidationError(f"the seed must be a nonnegative integer, got {seed!r}")
+
+
+def json_field(data, key: str, what: str):
+    """data[key] of a JSON object read from outside the program, or a ValidationError."""
+    if not isinstance(data, dict) or key not in data:
+        raise ValidationError(f"{what} JSON has no key {key!r}")
+    return data[key]

@@ -21,8 +21,8 @@ from typing import Callable, ClassVar, Optional, Sequence, Union, get_args
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidExperience, UnknownLabel, ValidationError
-from .operators import DEFAULT_TOL, Operator, State, is_projector
+from .errors import DimensionMismatch, InvalidExperience, UnknownLabel, ValidationError, json_field
+from .operators import TOL, Operator, State, is_projector
 
 
 def _same_dim(ops: Sequence[Operator], what: str) -> None:
@@ -34,9 +34,9 @@ def _left_product(ops: Sequence[Operator]) -> np.ndarray:
     return functools.reduce(np.matmul, [op.mat for op in ops])
 
 
-def _pairwise_within(mats: Sequence[np.ndarray], pair: Callable, tol: float) -> bool:
-    """True iff every entry of pair(A, B) is within tol for every pair of matrices."""
-    return all(np.max(np.abs(pair(a, b))) <= tol for a, b in itertools.combinations(mats, 2))
+def _pairwise_within(mats: Sequence[np.ndarray], pair: Callable) -> bool:
+    """True iff every entry of pair(A, B) is within TOL for every pair of matrices."""
+    return all(np.max(np.abs(pair(a, b))) <= TOL for a, b in itertools.combinations(mats, 2))
 
 
 def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -50,7 +50,7 @@ class Explicit:
     tag: ClassVar[str] = "explicit"
     op: Operator
 
-    def realize(self, state: Optional[State] = None, tol: float = DEFAULT_TOL) -> Operator:
+    def realize(self, state: Optional[State] = None) -> Operator:
         return self.op
 
 
@@ -60,7 +60,7 @@ class Projector:
     op: Operator
 
     def __post_init__(self):
-        if not is_projector(self.op, DEFAULT_TOL):
+        if not is_projector(self.op):
             raise ValidationError("Projector spec requires an idempotent Hermitian operator")
 
     realize = Explicit.realize
@@ -76,11 +76,11 @@ class ConstrainedProjector:
 
     def __post_init__(self):
         for name, op in (("constraint", self.constraint), ("inner", self.inner)):
-            if not is_projector(op, DEFAULT_TOL):
+            if not is_projector(op):
                 raise ValidationError(f"ConstrainedProjector {name} must be a projector")
         _same_dim((self.constraint, self.inner), "constraint and inner projector")
 
-    def realize(self, state: Optional[State] = None, tol: float = DEFAULT_TOL) -> Operator:
+    def realize(self, state: Optional[State] = None) -> Operator:
         pc = self.constraint.mat
         return Operator(pc @ self.inner.mat @ pc)
 
@@ -98,7 +98,7 @@ class SymmetrizedProjector:
     group: tuple[Operator, ...]
 
     def __post_init__(self):
-        if not is_projector(self.inner, DEFAULT_TOL):
+        if not is_projector(self.inner):
             raise ValidationError("SymmetrizedProjector inner must be a projector")
         group = tuple(self.group)
         if len(group) == 0:
@@ -109,7 +109,7 @@ class SymmetrizedProjector:
                 raise ValidationError("group elements must be unitary")
         object.__setattr__(self, "group", group)
 
-    def realize(self, state: Optional[State] = None, tol: float = DEFAULT_TOL) -> Operator:
+    def realize(self, state: Optional[State] = None) -> Operator:
         acc = sum(g.mat @ self.inner.mat @ g.mat.conj().T for g in self.group)
         return Operator(acc / len(self.group))
 
@@ -129,14 +129,14 @@ class ProductProjector:
         if len(comps) == 0:
             raise ValidationError("ProductProjector needs at least one component")
         for c in comps:
-            if not is_projector(c, DEFAULT_TOL):
+            if not is_projector(c):
                 raise ValidationError("ProductProjector components must be projectors")
         _same_dim(comps, "ProductProjector components")
         object.__setattr__(self, "components", comps)
 
-    def realize(self, state: Optional[State] = None, tol: float = DEFAULT_TOL) -> Operator:
-        if not _pairwise_within([c.mat for c in self.components], _commutator, tol):
-            raise ValidationError("ProductProjector components do not commute within tol")
+    def realize(self, state: Optional[State] = None) -> Operator:
+        if not _pairwise_within([c.mat for c in self.components], _commutator):
+            raise ValidationError("ProductProjector components do not commute within TOL")
         return Operator(_left_product(self.components))
 
 
@@ -156,7 +156,7 @@ class ProjectionSequence:
         if len(chain) < 1:
             raise ValidationError("chain must contain at least one projector")
         for p in chain:
-            if not is_projector(p, DEFAULT_TOL):
+            if not is_projector(p):
                 raise ValidationError("chain entries must be projectors")
         _same_dim(chain, "chain entries")
         object.__setattr__(self, "chain", chain)
@@ -167,7 +167,7 @@ class ProjectionSequence:
     def class_operator(self) -> Operator:
         return Operator(self._class_matrix())
 
-    def realize(self, state: Optional[State] = None, tol: float = DEFAULT_TOL) -> Operator:
+    def realize(self, state: Optional[State] = None) -> Operator:
         c = self._class_matrix()
         return Operator(c.conj().T @ c)
 
@@ -203,14 +203,14 @@ class LinearlyPositive:
     tag: ClassVar[str] = "linearly_positive"
     class_op: Operator
 
-    def realize(self, state: Optional[State] = None, tol: float = DEFAULT_TOL) -> Operator:
+    def realize(self, state: Optional[State] = None) -> Operator:
         if state is None:
             raise ValidationError("LinearlyPositive requires a state to verify nonnegativity")
         if state.dim != self.class_op.dim:
             raise DimensionMismatch("state and class operator dims differ")
         re_c = (self.class_op.mat + self.class_op.mat.conj().T) / 2
         val = float(np.trace(state.mat @ re_c).real)
-        if val < -tol:
+        if val < -TOL:
             raise InvalidExperience(f"<Re C> = {val} is negative beyond tolerance")
         return Operator(re_c)
 
@@ -235,24 +235,22 @@ def _known(spec) -> ExperienceSpec:
     return spec
 
 
-def realize(spec: ExperienceSpec, state: Optional[State] = None, tol: float = DEFAULT_TOL) -> Operator:
+def realize(spec: ExperienceSpec, state: Optional[State] = None) -> Operator:
     """Build the experience operator for a spec.
 
     A state is required only for LinearlyPositive, whose realization must be
     checked to have nonnegative expectation.
     """
-    return _known(spec).realize(state, tol)
+    return _known(spec).realize(state)
 
 
-def realize_stack(
-    specs: Sequence[ExperienceSpec], state: Optional[State] = None, tol: float = DEFAULT_TOL
-) -> np.ndarray:
+def realize_stack(specs: Sequence[ExperienceSpec], state: Optional[State] = None) -> np.ndarray:
     """The specs' operators as one read-only (N, d, d) complex array, in order.
 
     Each spec goes through `realize` exactly once; specs acting on spaces of
     different dimension raise DimensionMismatch.
     """
-    mats = [realize(s, state, tol).mat for s in specs]
+    mats = [realize(s, state).mat for s in specs]
     if not mats:
         raise ValidationError("need at least one experience spec")
     if len({m.shape for m in mats}) > 1:
@@ -273,6 +271,8 @@ def _encode(value):
 def _decode(value):
     if isinstance(value, dict):
         return Operator.from_json(value)
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"spec JSON needs an operator or a list, got {type(value).__name__}")
     return tuple(_decode(v) for v in value)
 
 
@@ -284,10 +284,11 @@ def spec_to_json(spec: ExperienceSpec) -> dict:
 
 def spec_from_json(data: dict) -> ExperienceSpec:
     """Inverse of spec_to_json: dicts decode to operators, lists to tuples."""
-    cls = {c.tag: c for c in _SPEC_TYPES}.get(data["variant"])
+    variant = json_field(data, "variant", "experience spec")
+    cls = next((c for c in _SPEC_TYPES if c.tag == variant), None)
     if cls is None:
-        raise ValidationError(f"unknown spec variant {data['variant']!r}")
-    return cls(**{f.name: _decode(data[f.name]) for f in fields(cls)})
+        raise ValidationError(f"unknown spec variant {variant!r}")
+    return cls(**{f.name: _decode(json_field(data, f.name, "experience spec")) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -325,9 +326,9 @@ class ExperienceFamily:
                 return s
         raise UnknownLabel(label)
 
-    def realize_all(self, state: Optional[State] = None, tol: float = DEFAULT_TOL) -> np.ndarray:
+    def realize_all(self, state: Optional[State] = None) -> np.ndarray:
         """Every entry's operator, stacked in entry order (see `realize_stack`)."""
-        return realize_stack([s for _, s, _ in self.entries], state, tol)
+        return realize_stack([s for _, s, _ in self.entries], state)
 
 
 def awareness_operator(
@@ -356,14 +357,12 @@ def _vectorized(stack: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(stack.reshape(len(stack), -1).T)
 
 
-def check_pairwise_independence(
-    family: ExperienceFamily, tol: float = DEFAULT_TOL, state: Optional[State] = None
-):
+def check_pairwise_independence(family: ExperienceFamily, *, state: Optional[State] = None):
     """Detect proportional pairs E' = lambda E among the realized operators.
 
     Returns (ok, offending_pair); the test normalizes each vectorized operator
     and flags a pair whenever the smaller singular value of the stacked pair
-    drops below tol.
+    drops below TOL times max(1, the larger one).
     """
     if len(family) < 2:
         raise ValidationError("need at least two entries to compare")
@@ -375,14 +374,12 @@ def check_pairwise_independence(
     unit = vecs / norms
     for i, j in itertools.combinations(range(len(family)), 2):
         s = np.linalg.svd(unit[:, [i, j]], compute_uv=False)
-        if s[-1] <= max(tol, tol * s[0]):
+        if s[-1] <= TOL * max(1.0, s[0]):
             return False, (family.labels[i], family.labels[j])
     return True, None
 
 
-def check_linear_independence(
-    family: ExperienceFamily, tol: float = DEFAULT_TOL, state: Optional[State] = None
-) -> bool:
+def check_linear_independence(family: ExperienceFamily, *, state: Optional[State] = None) -> bool:
     """True iff the whole realized set is linearly independent.
 
     At most dim^2 operators can be independent, so larger families always fail.
@@ -396,15 +393,15 @@ def check_linear_independence(
     if np.any(norms == 0):
         return False
     s = np.linalg.svd(vecs / norms, compute_uv=False)
-    return bool(s[-1] > max(tol, tol * s[0]))
+    return bool(s[-1] > TOL * max(1.0, s[0]))
 
 
-def check_commuting(family: ExperienceFamily, tol: float = DEFAULT_TOL) -> bool:
-    return _pairwise_within(family.realize_all(), _commutator, tol)
+def check_commuting(family: ExperienceFamily) -> bool:
+    return _pairwise_within(family.realize_all(), _commutator)
 
 
-def check_orthogonal(family: ExperienceFamily, tol: float = DEFAULT_TOL) -> bool:
-    return _pairwise_within(family.realize_all(), np.matmul, tol)
+def check_orthogonal(family: ExperienceFamily) -> bool:
+    return _pairwise_within(family.realize_all(), np.matmul)
 
 
 @dataclass(frozen=True)
@@ -430,7 +427,7 @@ class PairDecoherence:
     strongly_decoherent: bool
 
 
-def _chains_sum_homogeneous(spec_a, spec_b, tol: float) -> bool:
+def _chains_sum_homogeneous(spec_a, spec_b) -> bool:
     # Sufficient condition: single chains of equal length differing in exactly
     # one slot, where the two differing projectors are orthogonal and sum to a
     # projector.  The summed history then collapses to a single chain.
@@ -441,17 +438,17 @@ def _chains_sum_homogeneous(spec_a, spec_b, tol: float) -> bool:
     diff = [
         k
         for k, (p, q) in enumerate(zip(spec_a.chain, spec_b.chain))
-        if np.max(np.abs(p.mat - q.mat)) > tol
+        if np.max(np.abs(p.mat - q.mat)) > TOL
     ]
     if len(diff) != 1:
         return False
     p, q = spec_a.chain[diff[0]], spec_b.chain[diff[0]]
-    if np.max(np.abs(p.mat @ q.mat)) > tol:
+    if np.max(np.abs(p.mat @ q.mat)) > TOL:
         return False
-    return is_projector(p + q, max(tol, 1e-9))
+    return is_projector(p + q)
 
 
-def _strong_projector(c_mat: np.ndarray, state: State, tol: float):
+def _strong_projector(c_mat: np.ndarray, state: State):
     """Projector P with P rho = C rho if one exists, else None.
 
     On the support of rho the condition pins P to map eigenvector v to C v, so
@@ -462,22 +459,20 @@ def _strong_projector(c_mat: np.ndarray, state: State, tol: float):
     support = evals > 1e-12
     v = evecs[:, support]
     w = c_mat @ v
-    if np.max(np.abs(w)) <= tol:
+    if np.max(np.abs(w)) <= TOL:
         return np.zeros_like(c_mat)
     gram_residual = w.conj().T @ (v - w)
-    if np.max(np.abs(gram_residual)) > tol:
+    if np.max(np.abs(gram_residual)) > TOL:
         return None
     u, s, _ = np.linalg.svd(w, full_matrices=False)
-    cols = u[:, s > max(tol, 1e-12)]
+    cols = u[:, s > TOL]
     proj = cols @ cols.conj().T
-    if np.max(np.abs(proj @ v - w)) > max(tol, 1e-9):
+    if np.max(np.abs(proj @ v - w)) > TOL:
         return None
     return proj
 
 
-def decoherence_report(
-    family: ExperienceFamily, state: State, tol: float = DEFAULT_TOL
-) -> list[PairDecoherence]:
+def decoherence_report(family: ExperienceFamily, state: State) -> list[PairDecoherence]:
     """Pairwise decoherence diagnostics for a family of history specs."""
     specs = []
     for label, spec, _ in family.entries:
@@ -489,24 +484,18 @@ def decoherence_report(
         if mat.shape[0] != state.dim:
             raise DimensionMismatch("history and state dims differ")
 
-    strong = {
-        label: _strong_projector(mat, state, tol) for label, mat in class_ops.items()
-    }
+    strong = {label: _strong_projector(mat, state) for label, mat in class_ops.items()}
     records = []
     for (la, sa), (lb, sb) in itertools.combinations(specs, 2):
         ca, cb = class_ops[la], class_ops[lb]
         cross = complex(np.trace(state.mat @ ca.conj().T @ cb))
-        identical = np.max(np.abs(ca - cb)) <= tol
-        homog = _chains_sum_homogeneous(sa, sb, tol)
+        identical = np.max(np.abs(ca - cb)) <= TOL
+        homog = _chains_sum_homogeneous(sa, sb)
         consistent = None
         if not identical and homog:
-            consistent = abs(2 * cross.real) <= tol
+            consistent = abs(2 * cross.real) <= TOL
         pa, pb = strong[la], strong[lb]
-        strongly = (
-            pa is not None
-            and pb is not None
-            and np.max(np.abs(pa @ pb)) <= max(tol, 1e-9)
-        )
+        strongly = pa is not None and pb is not None and np.max(np.abs(pa @ pb)) <= TOL
         records.append(
             PairDecoherence(
                 label_a=la,
@@ -522,8 +511,8 @@ def decoherence_report(
     return records
 
 
-def normalization_check(spec: ExperienceSpec, mode: str, tol: float = DEFAULT_TOL) -> bool:
-    """Check a normalization convention on the realized operator.
+def normalization_check(spec: ExperienceSpec, mode: str) -> bool:
+    """Check a normalization convention on the realized operator, within TOL.
 
     constant_max: largest eigenvalue equals 1; unit: trace equals 1;
     projection: Tr E equals Tr E^2.
@@ -533,9 +522,9 @@ def normalization_check(spec: ExperienceSpec, mode: str, tol: float = DEFAULT_TO
     op = realize(spec)
     herm = (op.mat + op.mat.conj().T) / 2
     if mode == "constant_max":
-        return bool(abs(np.max(np.linalg.eigvalsh(herm)) - 1.0) <= tol)
+        return bool(abs(np.max(np.linalg.eigvalsh(herm)) - 1.0) <= TOL)
     if mode == "unit":
-        return bool(abs(np.trace(op.mat).real - 1.0) <= tol and abs(np.trace(op.mat).imag) <= tol)
+        return bool(abs(np.trace(op.mat).real - 1.0) <= TOL and abs(np.trace(op.mat).imag) <= TOL)
     if mode == "projection":
-        return bool(abs(np.trace(op.mat) - np.trace(op.mat @ op.mat)) <= tol)
+        return bool(abs(np.trace(op.mat) - np.trace(op.mat @ op.mat)) <= TOL)
     raise ValidationError(f"unknown normalization mode {mode!r}")

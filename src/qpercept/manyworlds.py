@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError
+from .errors import DimensionMismatch, ValidationError, json_field
 from .operators import Operator, State, expectation, haar_random_unitary
 
 
@@ -56,11 +56,8 @@ class ProjectorDecomposition:
 
     @classmethod
     def from_json(cls, data: dict) -> "ProjectorDecomposition":
-        return cls(
-            dim=data["dim"],
-            ranks=tuple(data["ranks"]),
-            projectors=tuple(Operator.from_json(p) for p in data["projectors"]),
-        )
+        dim, ranks, ops = (json_field(data, key, "decomposition") for key in ("dim", "ranks", "projectors"))
+        return cls(dim=dim, ranks=tuple(ranks), projectors=tuple(Operator.from_json(p) for p in ops))
 
 
 def _validate_ranks(dim: int, ranks: Sequence[int]) -> None:

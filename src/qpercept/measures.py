@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InvalidExperience,
+    QPerceptError,
     UnknownLabel,
     ValidationError,
     ZeroMeasure,
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .hypotheses import ExperienceFamily, ExperienceSpec, realize, realize_stack
 from .manyworlds import gram_metric
-from .operators import DEFAULT_TOL, State, expectation
+from .operators import TOL, State
 
 
 @dataclass(frozen=True)
@@ -193,26 +194,17 @@ class MeasureProfile:
         return t, t_r, t_d
 
 
-def profile_from_density(space: PerceptionSpace, density, tol: float = DEFAULT_TOL) -> MeasureProfile:
-    """Build a profile from raw density values, clamping tiny negatives to 0."""
+def profile_from_density(space: PerceptionSpace, density) -> MeasureProfile:
+    """Build a profile from raw density values, clamping negatives within TOL to 0."""
     raw = np.asarray(density, dtype=float)
-    if np.any(raw < -tol):
-        raise InvalidExperience("density below the negativity tolerance")
+    if np.any(raw < -TOL):
+        raise InvalidExperience("density below -TOL")
     return MeasureProfile(space=space, density=np.clip(raw, 0.0, None))
 
 
-def _density(val: complex, tol: float) -> float:
-    """The real part of an expectation value; a negative one within tol reads 0."""
-    if abs(val.imag) > tol:
-        raise InvalidExperience(f"measure density has imaginary part {val.imag}")
-    if val.real < -tol:
-        raise InvalidExperience(f"measure density {val.real} below -tol")
-    return max(val.real, 0.0)
-
-
-def measure_density(state: State, spec: ExperienceSpec, tol: float = DEFAULT_TOL) -> float:
-    """Expectation of the experience operator in the state, clamped at -tol."""
-    return _density(expectation(state, realize(spec, state, tol)), tol)
+def measure_density(state: State, spec: ExperienceSpec) -> float:
+    """Expectation of the experience operator in the state, clamped at -TOL."""
+    return float(_densities(state, realize(spec, state).mat[np.newaxis])[0])
 
 
 def _expectations(state: State, stack: np.ndarray) -> np.ndarray:
@@ -222,20 +214,22 @@ def _expectations(state: State, stack: np.ndarray) -> np.ndarray:
     return np.trace(state.mat @ stack, axis1=1, axis2=2)
 
 
-def _densities(state: State, stack: np.ndarray, tol: float) -> np.ndarray:
-    """measure_density of every operator of the stack, in one pass."""
+def _densities(state: State, stack: np.ndarray) -> np.ndarray:
+    """Re Tr(state E) for every operator E of the stack, in one pass; a negative
+    value within TOL reads 0, and the first one with an imaginary part or a
+    value below -TOL raises."""
     vals = _expectations(state, stack)
-    bad = (np.abs(vals.imag) > tol) | (vals.real < -tol)
+    bad = (np.abs(vals.imag) > TOL) | (vals.real < -TOL)
     if bad.any():
-        _density(complex(vals[np.argmax(bad)]), tol)  # raises for the first offender
+        val = complex(vals[np.argmax(bad)])
+        if abs(val.imag) > TOL:
+            raise InvalidExperience(f"measure density has imaginary part {val.imag}")
+        raise InvalidExperience(f"measure density {val.real} below -TOL")
     return np.where(vals.real < 0.0, 0.0, vals.real)
 
 
 def build_profile(
-    state: State,
-    family: ExperienceFamily,
-    space: Optional[PerceptionSpace] = None,
-    tol: float = DEFAULT_TOL,
+    state: State, family: ExperienceFamily, space: Optional[PerceptionSpace] = None
 ) -> MeasureProfile:
     """Evaluate a family's densities on a space (default: the family's own labels).
 
@@ -246,18 +240,18 @@ def build_profile(
     """
     if space is None:
         space = PerceptionSpace.discrete(family.labels, family.weights)
-        stack = family.realize_all(state, tol)
+        stack = family.realize_all(state)
     elif space.labels is None:
         if len(family) != len(space):
             raise ValidationError("family must cover the grid points in order")
-        stack = family.realize_all(state, tol)
+        stack = family.realize_all(state)
     else:
         by_label = {label: spec for label, spec, _ in family.entries}
         missing = [label for label in space.labels if label not in by_label]
         if missing:
             raise UnknownLabel(missing[0])
-        stack = realize_stack([by_label[label] for label in space.labels], state, tol)
-    return profile_from_density(space, _densities(state, stack, tol), tol)
+        stack = realize_stack([by_label[label] for label in space.labels], state)
+    return profile_from_density(space, _densities(state, stack))
 
 
 def _selection_mask(profile: MeasureProfile, predicate) -> np.ndarray:
@@ -355,14 +349,13 @@ def prior_measure(
     mode: str = "counting",
     prior_state: Optional[State] = None,
     space: Optional[PerceptionSpace] = None,
-    tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
     """Per-point prior weights under a chosen convention.
 
     counting: every point weighs 1.  trace: Tr E(p).  prior_state: expectation
     of E(p) in a fixed reference state.  riemannian: sqrt(det g) from central
     finite differences of the operator family across grid neighbors; grid
-    points where the metric degenerates (det <= tol) come back as NaN.
+    points where the metric degenerates (det <= TOL) come back as NaN.
     """
     if mode == "counting":
         return np.ones(len(family))
@@ -377,11 +370,11 @@ def prior_measure(
             raise ValidationError("riemannian mode needs a grid space")
         if len(space) != len(family):
             raise ValidationError("family must cover the grid points in order")
-        return _riemannian_weights(family.realize_all(), space, tol)
+        return _riemannian_weights(family.realize_all(), space)
     raise ValidationError(f"unknown prior-measure mode {mode!r}")
 
 
-def _riemannian_weights(stack: np.ndarray, space: PerceptionSpace, tol: float) -> np.ndarray:
+def _riemannian_weights(stack: np.ndarray, space: PerceptionSpace) -> np.ndarray:
     axes_vals = [np.unique(column) for column in space.points.T]
     ndim = len(axes_vals)
     mesh = np.meshgrid(*axes_vals, indexing="ij")
@@ -394,43 +387,46 @@ def _riemannian_weights(stack: np.ndarray, space: PerceptionSpace, tol: float) -
         axis=ndim,
     )
     det = np.linalg.det(gram_metric(diffs.reshape((len(stack), ndim, -1))))
-    return np.where(det > tol, np.sqrt(np.abs(det)), np.nan)
+    return np.where(det > TOL, np.sqrt(np.abs(det)), np.nan)
 
 
-def relative_state(spec: ExperienceSpec, pure_state, tol: float = DEFAULT_TOL) -> np.ndarray:
+def relative_state(spec: ExperienceSpec, pure_state) -> np.ndarray:
     """Normalized E|psi>; errors out when the perception has no support on psi."""
     psi = np.asarray(pure_state, dtype=complex).reshape(-1)
     op = realize(spec)
     if op.dim != psi.shape[0]:
         raise DimensionMismatch("operator and state vector dims differ")
-    out = op.mat @ psi
-    norm = float(np.linalg.norm(out))
-    if norm <= np.sqrt(tol):
+    if not np.isfinite(psi).all():
+        raise ValidationError("state vector entries must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # |E psi|^2 overflows above about 1e154
+        out = op.mat @ psi
+        norm = float(np.linalg.norm(out))
+    if not np.isfinite(norm):
+        raise QPerceptError("the norm of E|psi> overflows; rescale the state vector")
+    if norm <= np.sqrt(TOL):
         raise ZeroMeasure("experience operator annihilates the state")
     return out / norm
 
 
-def relative_density(spec: ExperienceSpec, state: State, tol: float = DEFAULT_TOL) -> State:
+def relative_density(spec: ExperienceSpec, state: State) -> State:
     """Normalized E rho E as the relative density matrix of the perception."""
     op = realize(spec, state)
     if op.dim != state.dim:
         raise DimensionMismatch("operator and state dims differ")
     mat = op.mat @ state.mat @ op.mat.conj().T
     norm = float(np.trace(mat).real)
-    if norm <= tol:
+    if norm <= TOL:
         raise ZeroMeasure("perception has zero measure in this state")
     return State(mat / norm)
 
 
-def overlap_fraction(
-    spec_a: ExperienceSpec, spec_b: ExperienceSpec, state: State, tol: float = DEFAULT_TOL
-) -> float:
+def overlap_fraction(spec_a: ExperienceSpec, spec_b: ExperienceSpec, state: State) -> float:
     """<EE'><E'E> / (<EE><E'E'>), the squared relative-state overlap for projectors."""
     ea = realize(spec_a, state).mat
     eb = realize(spec_b, state).mat
     aa = float(np.trace(state.mat @ ea @ ea).real)
     bb = float(np.trace(state.mat @ eb @ eb).real)
-    if aa <= tol or bb <= tol:
+    if aa <= TOL or bb <= TOL:
         raise ZeroMeasure("overlap fraction needs both perceptions to have support")
     ab = complex(np.trace(state.mat @ ea @ eb))
     ba = complex(np.trace(state.mat @ eb @ ea))

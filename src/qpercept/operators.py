@@ -1,9 +1,9 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
 Operators and states are immutable wrappers around complex matrices.  All
-arithmetic is double precision; the default structural tolerance is 1e-9
-absolute on unit-scale matrices.  Random sampling takes an explicit seed and
-never shares generator state.
+arithmetic is double precision; every structural check in the package compares
+against one absolute tolerance, TOL, on unit-scale matrices.  Random sampling
+takes an explicit nonnegative integer seed and never shares generator state.
 """
 from __future__ import annotations
 
@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError, check_finite
+from .errors import DimensionMismatch, ValidationError, check_finite, check_seed, json_field
 
-DEFAULT_TOL = 1e-9
+TOL = 1e-9
 
 
 def _as_square_complex(entries) -> np.ndarray:
@@ -70,29 +70,31 @@ class Operator:
 
     @classmethod
     def from_json(cls, data: dict) -> "Operator":
-        re = np.asarray(data["re"], dtype=float)
-        im = np.asarray(data["im"], dtype=float)
-        if re.shape != im.shape or re.shape != (data["dim"], data["dim"]):
+        re, im, dim = (json_field(data, key, "operator") for key in ("re", "im", "dim"))
+        try:
+            re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
+        except (TypeError, ValueError):
+            raise ValidationError("operator re/im blocks must be arrays of numbers") from None
+        if re.shape != im.shape or re.shape != (dim, dim):
             raise ValidationError("re/im blocks do not match the declared dim")
         return cls(re + 1j * im)
 
 
 @dataclass(frozen=True)
 class State:
-    """Density operator: Hermitian, positive semidefinite, unit trace (within tol)."""
+    """Density operator: Hermitian, positive semidefinite, unit trace (within TOL)."""
 
     mat: np.ndarray
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         mat = _as_square_complex(self.mat)
         object.__setattr__(self, "mat", mat)
-        if np.max(np.abs(mat - mat.conj().T)) > self.tol:
+        if np.max(np.abs(mat - mat.conj().T)) > TOL:
             raise ValidationError("state is not Hermitian within tolerance")
-        if abs(np.trace(mat).real - 1.0) > self.tol or abs(np.trace(mat).imag) > self.tol:
+        if abs(np.trace(mat).real - 1.0) > TOL or abs(np.trace(mat).imag) > TOL:
             raise ValidationError("state trace differs from 1 beyond tolerance")
-        if np.min(np.linalg.eigvalsh((mat + mat.conj().T) / 2)) < -self.tol:
-            raise ValidationError("state has an eigenvalue below -tol")
+        if np.min(np.linalg.eigvalsh((mat + mat.conj().T) / 2)) < -TOL:
+            raise ValidationError("state has an eigenvalue below -TOL")
 
     @property
     def dim(self) -> int:
@@ -193,15 +195,13 @@ def tensor_product(a: Operator, b: Operator) -> Operator:
     return Operator(np.kron(a.mat, b.mat))
 
 
-def is_hermitian(op: Operator, tol: float = DEFAULT_TOL) -> bool:
-    return bool(np.max(np.abs(op.mat - op.mat.conj().T)) <= tol)
+def is_hermitian(op: Operator) -> bool:
+    return bool(np.max(np.abs(op.mat - op.mat.conj().T)) <= TOL)
 
 
-def is_projector(op: Operator, tol: float = DEFAULT_TOL) -> bool:
-    """True iff op is Hermitian and idempotent within tol (max-norm)."""
-    if not is_hermitian(op, tol):
-        return False
-    return bool(np.max(np.abs(op.mat @ op.mat - op.mat)) <= tol)
+def is_projector(op: Operator) -> bool:
+    """True iff op is Hermitian and idempotent within TOL (max-norm)."""
+    return is_hermitian(op) and bool(np.max(np.abs(op.mat @ op.mat - op.mat)) <= TOL)
 
 
 def haar_random_unitary(dim: int, seed: int, size: int | None = None):
@@ -213,6 +213,7 @@ def haar_random_unitary(dim: int, seed: int, size: int | None = None):
     """
     if dim < 1:
         raise ValidationError("dim must be >= 1")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     shape = (dim, dim) if size is None else (size, dim, dim)
     z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)

@@ -18,6 +18,7 @@ from . import inference, toymodels
 from .measures import PerceptionSpace, profile_from_density, typicality_of_density
 
 DEFAULT_SEED = 42
+SAMPLES = 1_000_000  # per Monte Carlo check
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,8 @@ def circle_grid_typicality(theta: float, phi: float, points: int = 1_000_001) ->
     return typicality_of_density(profile, toymodels.circle_model(theta, phi).density)
 
 
-def linpos_check(seed: int = DEFAULT_SEED, samples: int = 1_000_000) -> Check:
-    mc = toymodels.linear_positivity_fraction(samples, seed)
+def linpos_check(seed: int = DEFAULT_SEED) -> Check:
+    mc = toymodels.linear_positivity_fraction(SAMPLES, seed)
     return Check(
         "linpos-fraction",
         (math.sqrt(128) - 9) / 15,
@@ -180,16 +181,16 @@ def epr_checks() -> list[Check]:
     ]
 
 
-def sphere_checks(seed: int = DEFAULT_SEED, samples: int = 1_000_000) -> list[Check]:
+def sphere_checks(seed: int = DEFAULT_SEED) -> list[Check]:
     checks = []
     # a perception at angle 2 arccos(u^(1/4)) from the state, u uniform, lies at
     # least psi away when u <= cos^4(psi/2); the arccos route itself parts from
     # this only within a few ulps of the cut, where rounding decides
-    uniforms = np.random.default_rng(seed).random(samples)
+    uniforms = np.random.default_rng(seed).random(SAMPLES)
     for psi in (math.pi / 6, math.pi / 2, 5 * math.pi / 6):
         expected = math.cos(psi / 2) ** 4
-        observed = int(np.count_nonzero(uniforms <= expected)) / samples
-        sigma = math.sqrt(expected * (1 - expected) / samples)
+        observed = int(np.count_nonzero(uniforms <= expected)) / SAMPLES
+        sigma = math.sqrt(expected * (1 - expected) / SAMPLES)
         checks.append(Check(f"sphere-mc-psi-{round(math.degrees(psi))}", expected, observed, 3 * sigma))
     cold = toymodels.sphere_model(math.pi / 2, 0.3, 0.7).cold_probability
     checks.append(Check("sphere-cold-probability", 0.5, cold, 0.0))

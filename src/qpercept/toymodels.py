@@ -24,13 +24,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch, ValidationError, check_finite
+from .errors import DegenerateInput, DimensionMismatch, ValidationError, check_finite, check_seed
 from .hypotheses import ExperienceFamily, Explicit, ProjectionSequence
 from .measures import measure_density
 from .operators import (
     Operator,
     ParamPositiveOp,
     State,
+    TOL,
     bloch_projector,
     bloch_vector,
     check_bloch_angles,
@@ -299,6 +300,7 @@ def linear_positivity_fraction(samples: int, seed: int) -> MonteCarloFraction:
     """
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValidationError(f"need 1 to {MAX_SAMPLES} samples, got {samples}")
+    check_seed(seed)
     hits = 0
     for block, start in enumerate(range(0, samples, BLOCK)):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
@@ -328,20 +330,18 @@ class TriangleReport:
     areas: Optional[tuple[float, ...]]
 
 
-def triangle_equivalence(
-    state_dir: Direction, q_dir: Direction, r_dir: Direction, cutoff: float = 1e-9
-) -> TriangleReport:
+def triangle_equivalence(state_dir: Direction, q_dir: Direction, r_dir: Direction) -> TriangleReport:
     """Compare the interval condition against its spherical-triangle picture.
 
     The three great circles through the state, Q, and R directions cut the
     sphere into eight triangles; the interval condition holds exactly when no
-    triangle exceeds solid angle pi.  Nearly parallel or antipodal direction
-    pairs are reported as degenerate and skipped.
+    triangle exceeds solid angle pi (within TOL).  Direction pairs within TOL
+    of parallel or antipodal are reported as degenerate and skipped.
     """
     s, q, r = (bloch_vector(d.polar, d.azimuth) for d in (state_dir, q_dir, r_dir))
     for x, y in ((s, q), (s, r), (q, r)):
         angle = math.atan2(math.hypot(*_cross(x, y)), _dot(x, y))
-        if angle < cutoff or math.pi - angle < cutoff:
+        if angle < TOL or math.pi - angle < TOL:
             return TriangleReport("degenerate", None, None, None)
     sq, sr, qr, triple = _bloch_invariants(s, q, r)
     # one triangle (es s, eq q, er r) per sign choice
@@ -349,7 +349,7 @@ def triangle_equivalence(
         2.0 * math.atan2(abs(triple), 1.0 + es * eq * sq + es * er * sr + eq * er * qr)
         for es in (1, -1) for eq in (1, -1) for er in (1, -1)
     )
-    all_sub_pi = all(area <= math.pi + 1e-9 for area in areas)
+    all_sub_pi = all(area <= math.pi + TOL for area in areas)
     linpos = bool(_linpos_mask(sq, sr, qr))
     return TriangleReport("ok", linpos, all_sub_pi, areas)
 

@@ -2,6 +2,7 @@
 in-range input returns finite values."""
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,11 +11,31 @@ from hypothesis import strategies as st
 
 from qpercept import inference, toymodels
 from qpercept.errors import DimensionMismatch, QPerceptError, UnknownLabel, ValidationError
-from qpercept.hypotheses import ExperienceFamily, Explicit
-from qpercept.measures import PerceptionSpace, profile_from_density, typicality, typicality_of_density
-from qpercept.operators import State, identity
+from qpercept.hypotheses import ExperienceFamily, Explicit, spec_from_json
+from qpercept.manyworlds import ProjectorDecomposition, sample_decomposition
+from qpercept.measures import (
+    PerceptionSpace,
+    profile_from_density,
+    relative_state,
+    typicality,
+    typicality_of_density,
+)
+from qpercept.operators import Operator, State, haar_random_unitary, identity
 
 any_float = st.floats(allow_nan=True, allow_infinity=True)
+
+# in-range arguments, drawn beside any_float so that every run reaches the computation
+finite = st.floats(allow_nan=False, allow_infinity=False)
+moderate = st.floats(-10.0, 10.0)
+polar = st.floats(0.0, math.pi)
+nonzero_p = st.floats(0.1, 10.0) | st.floats(-10.0, -0.1)
+order = st.integers(0, 20)
+in_ball = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda x: x[0] ** 2 + x[1] ** 2 + x[2] ** 2 <= 1.0)
+# 3 distinct grid points at least 1/8 apart, increasing
+increasing = st.lists(st.integers(-1000, 1000), min_size=3, max_size=3, unique=True).map(
+    lambda xs: tuple(x / 8 for x in sorted(xs))
+)
+six_angles = st.tuples(polar, finite, polar, finite, polar, finite)
 
 # the scalar theta is the checked argument; the grid of angles is the caller's
 PHIS = np.linspace(-math.pi, math.pi, 9)
@@ -40,29 +61,57 @@ def _two_step_values(rep):
     return [rep.weak_residual, rep.medium_residual, *rep.measures]
 
 
-# each function, its arity, and the values of its result that must be finite
+# positive definite, so no nonzero vector is annihilated
+RELATIVE_SPEC = Explicit(toymodels.ball_experience(0.1, 0.2, 0.3))
+
+# each function, its arity, a strategy for in-range argument tuples, and the
+# values of its result that must be finite
 PUBLIC = {
-    "posterior_moment": (inference.posterior_moment, 2, _scalar),
-    "typicality_of_density": (lambda v: typicality_of_density(CIRCLE, v), 1, _scalar),
-    "PerceptionSpace.grid": (lambda *axis: PerceptionSpace.grid({"x": np.array(axis)}), 3, _grid_values),
-    "posterior_density": (inference.posterior_density, 2, _scalar),
-    "dual_posterior": (inference.dual_posterior, 2, _scalar),
-    "dual_posterior_moment": (inference.dual_posterior_moment, 2, _scalar),
-    "gaussian_typicality": (inference.gaussian_typicality, 2, _scalar),
-    "gaussian_reversed": (inference.gaussian_reversed, 2, _scalar),
-    "gaussian_dual": (inference.gaussian_dual, 2, _scalar),
-    "circle_model": (toymodels.circle_model, 2, dataclasses.astuple),
-    "circle_density_array": (lambda theta: toymodels.circle_density_array(theta, PHIS), 1, lambda out: out),
-    "sphere_model": (toymodels.sphere_model, 3, dataclasses.astuple),
-    "ball_prior_weight": (toymodels.ball_prior_weight, 3, _scalar),
-    "ball_experience": (toymodels.ball_experience, 3, lambda out: out.mat.view(float)),
-    "from_bloch": (State.from_bloch, 2, lambda out: out.mat.view(float)),
-    "averaged_posterior": (inference.averaged_posterior, 1, _scalar),
+    "posterior_moment": (inference.posterior_moment, 2, st.tuples(nonzero_p, order), _scalar),
+    "typicality_of_density": (
+        lambda v: typicality_of_density(CIRCLE, v), 1, st.tuples(st.floats(-1.0, 2.0)), _scalar
+    ),
+    "PerceptionSpace.grid": (
+        lambda *axis: PerceptionSpace.grid({"x": np.array(axis)}), 3, increasing, _grid_values
+    ),
+    "posterior_density": (inference.posterior_density, 2, st.tuples(nonzero_p, moderate), _scalar),
+    "dual_posterior": (inference.dual_posterior, 2, st.tuples(nonzero_p, moderate), _scalar),
+    "dual_posterior_moment": (inference.dual_posterior_moment, 2, st.tuples(nonzero_p, order), _scalar),
+    "gaussian_typicality": (inference.gaussian_typicality, 2, st.tuples(moderate, moderate), _scalar),
+    "gaussian_reversed": (inference.gaussian_reversed, 2, st.tuples(moderate, moderate), _scalar),
+    "gaussian_dual": (inference.gaussian_dual, 2, st.tuples(moderate, moderate), _scalar),
+    "circle_model": (
+        toymodels.circle_model, 2, st.tuples(st.floats(0.01, math.pi - 0.01), moderate), dataclasses.astuple
+    ),
+    "circle_density_array": (
+        lambda theta: toymodels.circle_density_array(theta, PHIS), 1,
+        st.tuples(st.floats(0.01, math.pi - 0.01)), lambda out: out,
+    ),
+    "sphere_model": (toymodels.sphere_model, 3, st.tuples(moderate, moderate, moderate), dataclasses.astuple),
+    "ball_prior_weight": (toymodels.ball_prior_weight, 3, in_ball, _scalar),
+    "ball_experience": (toymodels.ball_experience, 3, in_ball, lambda out: out.mat.view(float)),
+    "from_bloch": (State.from_bloch, 2, st.tuples(polar, finite), lambda out: out.mat.view(float)),
+    "averaged_posterior": (
+        inference.averaged_posterior, 1,
+        st.tuples(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)), _scalar,
+    ),
     # a gaussian, whose nodes reach the whole float range as the ends do
-    "de_quad": (lambda a, b: inference.de_quad(lambda x: math.exp(-x * x), a, b), 2, list),
+    "de_quad": (
+        lambda a, b: inference.de_quad(lambda x: math.exp(-x * x), a, b), 2,
+        st.tuples(moderate, moderate | st.just(math.inf)), list,
+    ),
     # six angles: the state, Q and R directions
-    "two_step_analysis": (lambda *a: toymodels.two_step_analysis(*_directions(a)), 6, _two_step_values),
-    "triangle_equivalence": (lambda *a: toymodels.triangle_equivalence(*_directions(a)), 6, lambda out: out.areas or []),
+    "two_step_analysis": (
+        lambda *a: toymodels.two_step_analysis(*_directions(a)), 6, six_angles, _two_step_values
+    ),
+    "triangle_equivalence": (
+        lambda *a: toymodels.triangle_equivalence(*_directions(a)), 6, six_angles, lambda out: out.areas or []
+    ),
+    # the two entries of the state vector
+    "relative_state": (
+        lambda *psi: relative_state(RELATIVE_SPEC, psi), 2, st.tuples(st.floats(0.5, 10.0), moderate),
+        lambda out: out.view(float),
+    ),
 }
 
 
@@ -70,7 +119,9 @@ PUBLIC = {
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_raises_a_qpercept_error_or_returns_finite_values(name, data):
-    function, arity, values = PUBLIC[name]
+    function, arity, in_range, values = PUBLIC[name]
+    # in range, every draw reaches the computation and its result is finite
+    assert np.all(np.isfinite(values(function(*data.draw(in_range)))))
     args = data.draw(st.tuples(*[any_float] * arity))
     try:
         out = function(*args)
@@ -114,6 +165,8 @@ def test_raises_a_qpercept_error_or_returns_finite_values(name, data):
         lambda: inference.de_quad(math.exp, math.inf),
         lambda: inference.de_quad(math.exp, 0.0, math.nan),
         lambda: inference.de_quad(math.exp, 0.0, -math.inf),
+        lambda: relative_state(RELATIVE_SPEC, [math.nan, 1.0]),
+        lambda: relative_state(RELATIVE_SPEC, [1.0, -math.inf]),
     ],
 )
 def test_non_finite_and_out_of_range_inputs_are_validation_errors(call):
@@ -211,3 +264,60 @@ def test_grid_spaces_have_no_labels(label):
         profile.space.index_of(label)
     with pytest.raises(UnknownLabel, match="grid space has no labels"):
         typicality(profile, label)
+
+
+def test_a_non_finite_state_vector_is_rejected_before_any_arithmetic():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="state vector entries must be finite"):
+            relative_state(RELATIVE_SPEC, [math.nan, 1.0])
+
+
+def test_an_overflowing_relative_state_is_a_computation_failure():
+    with pytest.raises(QPerceptError, match="overflows") as exc:
+        relative_state(RELATIVE_SPEC, [1e200, 1e200])
+    assert not isinstance(exc.value, ValidationError)
+
+
+_OP = {"dim": 1, "re": [[1.0]], "im": [[0.0]]}
+
+
+@pytest.mark.parametrize(
+    "decode, data, message",
+    [
+        (spec_from_json, {}, "experience spec JSON has no key 'variant'"),
+        (spec_from_json, [], "experience spec JSON has no key 'variant'"),
+        (spec_from_json, {"variant": ["x"]}, r"unknown spec variant \['x'\]"),
+        (spec_from_json, {"variant": "nope"}, "unknown spec variant 'nope'"),
+        (spec_from_json, {"variant": "projector"}, "experience spec JSON has no key 'op'"),
+        (spec_from_json, {"variant": "sequence", "chain": 3}, "spec JSON needs an operator or a list, got int"),
+        (spec_from_json, {"variant": "explicit", "op": {}}, "operator JSON has no key 're'"),
+        (Operator.from_json, {}, "operator JSON has no key 're'"),
+        (Operator.from_json, {"re": [[1.0]], "im": [[0.0]]}, "operator JSON has no key 'dim'"),
+        (Operator.from_json, {**_OP, "re": [["a"]]}, "arrays of numbers"),
+        (Operator.from_json, {**_OP, "re": [[1.0], [2.0, 3.0]]}, "arrays of numbers"),
+        (State.from_json, {}, "operator JSON has no key 're'"),
+        (ProjectorDecomposition.from_json, {}, "decomposition JSON has no key 'dim'"),
+        (ProjectorDecomposition.from_json, {"dim": 1, "ranks": [1]}, "decomposition JSON has no key 'projectors'"),
+        (ProjectorDecomposition.from_json, {"dim": 1, "ranks": [1], "projectors": [{}]}, "no key 're'"),
+    ],
+)
+def test_json_decoders_raise_validation_errors_naming_the_key(decode, data, message):
+    with pytest.raises(ValidationError, match=message):
+        decode(data)
+
+
+@pytest.mark.parametrize("seed", [-3, -1, 1.5, "7", None])
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda seed: haar_random_unitary(2, seed),
+        lambda seed: haar_random_unitary(2, seed, size=3),
+        lambda seed: sample_decomposition(2, (1, 1), seed),
+        lambda seed: toymodels.linear_positivity_fraction(10, seed),
+    ],
+)
+def test_seeds_must_be_nonnegative_integers(draw, seed):
+    with pytest.raises(ValidationError, match=f"the seed must be a nonnegative integer, got {seed!r}"):
+        draw(seed)
+    draw(np.int64(0))  # numpy integers are integers

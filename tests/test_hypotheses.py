@@ -245,7 +245,7 @@ def test_orthogonal_family_implies_both_independence_notions():
         block = basis[:, list(cols)]
         specs.append(Explicit(Operator(block @ block.conj().T)))
     fam = family_of(*specs)
-    assert check_orthogonal(fam, 1e-9)
+    assert check_orthogonal(fam)
     ok, _ = check_pairwise_independence(fam)
     assert ok
     assert check_linear_independence(fam)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import random_hermitian, random_projector, random_state
 from qpercept.errors import DimensionMismatch, ValidationError
 from qpercept.operators import (
+    TOL,
     Operator,
     ParamPositiveOp,
     State,
@@ -22,6 +23,11 @@ from qpercept.operators import (
 )
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+
+
+def _projector_residual(op):
+    """max |P - P^dagger| and max |P P - P| together: is_projector at a bound of choice."""
+    return max(np.max(np.abs(op.mat - op.mat.conj().T)), np.max(np.abs(op.mat @ op.mat - op.mat)))
 
 
 def test_expectation_identity_is_one(rng):
@@ -113,7 +119,8 @@ def test_from_params_reproduces_equatorial_projectors():
         [[1, math.cos(phi) + 1j * math.sin(phi)], [math.cos(phi) - 1j * math.sin(phi), 1]]
     )
     assert np.allclose(p.mat, expected, atol=1e-15)
-    assert is_projector(p, 1e-12)
+    assert is_projector(p)
+    assert _projector_residual(p) <= 1e-12
 
 
 def test_from_params_rejects_cone_violation():
@@ -159,9 +166,13 @@ def test_tensor_product_trace_multiplies(seed):
 
 
 def test_is_projector():
-    assert is_projector(identity(3), 1e-12)
-    assert is_projector(bloch_projector(0.7, 1.9), 1e-12)
-    assert not is_projector(Operator(0.5 * np.eye(2)), 1e-9)
+    for p in (identity(3), bloch_projector(0.7, 1.9)):
+        assert is_projector(p)
+        assert _projector_residual(p) <= 1e-12
+    assert not is_projector(Operator(0.5 * np.eye(2)))
+    # P P - P has the one nonzero entry r (1 + r): within TOL, or not
+    assert is_projector(Operator(np.diag([1.0 + TOL / 2, 0.0])))
+    assert not is_projector(Operator(np.diag([1.0 + 2 * TOL, 0.0])))
 
 
 def test_haar_dim_one_is_phase():

@@ -38,7 +38,7 @@ def test_sphere_counts_equal_the_arccos_counts(seed):
     # 97, 216 and 249 are the seeds in 0-299 where one 3-sigma check misses
     failing = {97: ["sphere-mc-psi-30"], 216: ["sphere-mc-psi-150"], 249: ["sphere-mc-psi-90"]}
     samples = 10**6
-    checks = reproduce.sphere_checks(seed, samples)
+    checks = reproduce.sphere_checks(seed)
     u = np.random.default_rng(seed).uniform(0.0, 1.0, samples)
     for psi, check in zip(PSIS, checks):
         assert check.observed == np.count_nonzero(_arccos_route(u, psi)) / samples
