@@ -19,18 +19,17 @@ from .errors import (
     ValidationError,
     ZeroMeasure,
 )
-from .operators import (
-    Operator,
-    ParamPositiveOp,
-    State,
-    bloch_projector,
-    expectation,
-    from_params,
-    haar_random_unitary,
-    identity,
-    is_projector,
-    tensor_product,
-)
+
+
+def __getattr__(name: str):
+    # the operators names of __all__ load numpy, so they are bound on first
+    # use (PEP 562): `import qpercept` and the numpy-free subcommands skip it
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import operators
+
+    return getattr(operators, name)
+
 
 __version__ = "0.1.0"
 

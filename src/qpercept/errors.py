@@ -1,6 +1,18 @@
-"""Exception types shared across the package, and the input checks they share."""
+"""Exception types shared across the package, the input checks they share,
+and the defaults and bounds the command line reads before it imports numpy."""
 import math
 import numbers
+
+# the seed of a seeded run that names none
+DEFAULT_SEED = 42
+# linear-positivity Monte Carlo draws its samples in blocks of BLOCK
+BLOCK = 2**16
+# a run-time bound, not a memory one (memory is one block): about 0.06 s per
+# 10^6 samples on a 2-core Xeon VM, so 10^9 take about a minute
+MAX_SAMPLES = 10**9
+# not a cost bound (the divided-cat measure is O(parts)): 1023 is the largest
+# count for which the fraction 2^(1-parts) is still a normal double
+MAX_PARTS = 1023
 
 
 class QPerceptError(ValueError):

@@ -25,6 +25,32 @@ from .errors import DimensionMismatch, InvalidExperience, UnknownLabel, Validati
 from .operators import TOL, Operator, State, is_projector
 
 
+def _check_operators(spec, *names: str) -> None:
+    """ValidationError unless each named field of the spec is an Operator."""
+    for name in names:
+        value = getattr(spec, name)
+        if not isinstance(value, Operator):
+            raise ValidationError(
+                f"{type(spec).__name__} {name} must be an Operator, got {type(value).__name__}"
+            )
+
+
+def _operator_tuple(spec, name: str) -> tuple[Operator, ...]:
+    """The named field of the spec as a tuple of Operators, stored back on it."""
+    ops = _as_tuple(spec, name, "Operators")
+    if not all(isinstance(op, Operator) for op in ops):
+        raise ValidationError(f"{type(spec).__name__} {name} must be a sequence of Operators")
+    object.__setattr__(spec, name, ops)
+    return ops
+
+
+def _as_tuple(spec, name: str, what: str) -> tuple:
+    try:
+        return tuple(getattr(spec, name))
+    except TypeError:
+        raise ValidationError(f"{type(spec).__name__} {name} must be a sequence of {what}") from None
+
+
 def _same_dim(ops: Sequence[Operator], what: str) -> None:
     if len({op.dim for op in ops}) > 1:
         raise DimensionMismatch(f"{what} act on spaces of different dimension")
@@ -50,6 +76,9 @@ class Explicit:
     tag: ClassVar[str] = "explicit"
     op: Operator
 
+    def __post_init__(self):
+        _check_operators(self, "op")
+
     def realize(self, state: Optional[State] = None) -> Operator:
         return self.op
 
@@ -60,6 +89,7 @@ class Projector:
     op: Operator
 
     def __post_init__(self):
+        _check_operators(self, "op")
         if not is_projector(self.op):
             raise ValidationError("Projector spec requires an idempotent Hermitian operator")
 
@@ -75,6 +105,7 @@ class ConstrainedProjector:
     inner: Operator
 
     def __post_init__(self):
+        _check_operators(self, "constraint", "inner")
         for name, op in (("constraint", self.constraint), ("inner", self.inner)):
             if not is_projector(op):
                 raise ValidationError(f"ConstrainedProjector {name} must be a projector")
@@ -98,16 +129,16 @@ class SymmetrizedProjector:
     group: tuple[Operator, ...]
 
     def __post_init__(self):
+        _check_operators(self, "inner")
         if not is_projector(self.inner):
             raise ValidationError("SymmetrizedProjector inner must be a projector")
-        group = tuple(self.group)
+        group = _operator_tuple(self, "group")
         if len(group) == 0:
             raise ValidationError("symmetry group must be a nonempty finite list")
         _same_dim((self.inner,) + group, "inner projector and group elements")
         for g in group:
             if np.max(np.abs(g.mat @ g.mat.conj().T - np.eye(g.dim))) > 1e-8:
                 raise ValidationError("group elements must be unitary")
-        object.__setattr__(self, "group", group)
 
     def realize(self, state: Optional[State] = None) -> Operator:
         acc = sum(g.mat @ self.inner.mat @ g.mat.conj().T for g in self.group)
@@ -125,14 +156,13 @@ class ProductProjector:
     components: tuple[Operator, ...]
 
     def __post_init__(self):
-        comps = tuple(self.components)
+        comps = _operator_tuple(self, "components")
         if len(comps) == 0:
             raise ValidationError("ProductProjector needs at least one component")
         for c in comps:
             if not is_projector(c):
                 raise ValidationError("ProductProjector components must be projectors")
         _same_dim(comps, "ProductProjector components")
-        object.__setattr__(self, "components", comps)
 
     def realize(self, state: Optional[State] = None) -> Operator:
         if not _pairwise_within([c.mat for c in self.components], _commutator):
@@ -152,14 +182,13 @@ class ProjectionSequence:
     chain: tuple[Operator, ...]
 
     def __post_init__(self):
-        chain = tuple(self.chain)
+        chain = _operator_tuple(self, "chain")
         if len(chain) < 1:
             raise ValidationError("chain must contain at least one projector")
         for p in chain:
             if not is_projector(p):
                 raise ValidationError("chain entries must be projectors")
         _same_dim(chain, "chain entries")
-        object.__setattr__(self, "chain", chain)
 
     def _class_matrix(self) -> np.ndarray:
         return _left_product(self.chain)
@@ -181,8 +210,8 @@ class HistorySum:
 
     def __post_init__(self):
         seqs = tuple(
-            s if isinstance(s, ProjectionSequence) else ProjectionSequence(tuple(s))
-            for s in self.sequences
+            s if isinstance(s, ProjectionSequence) else ProjectionSequence(s)
+            for s in _as_tuple(self, "sequences", "chains")
         )
         if len(seqs) == 0:
             raise ValidationError("HistorySum needs at least one chain")
@@ -202,6 +231,9 @@ class LinearlyPositive:
 
     tag: ClassVar[str] = "linearly_positive"
     class_op: Operator
+
+    def __post_init__(self):
+        _check_operators(self, "class_op")
 
     def realize(self, state: Optional[State] = None) -> Operator:
         if state is None:

@@ -12,13 +12,12 @@ as a test oracle.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import erf, erfc
 from typing import Callable, Optional
-
-import numpy as np
 
 from .errors import DegenerateInput, QPerceptError, ValidationError, ZeroMeasure, check_finite
 
@@ -41,7 +40,7 @@ class PowerLawModel:
             out = 1.0
         else:
             out = float(m**self.exponent)
-        if out < 0 or not np.isfinite(out):
+        if out < 0 or not math.isfinite(out):
             raise ValidationError("transformed density must be finite and nonnegative")
         return out
 
@@ -55,7 +54,11 @@ class Hypothesis:
     evaluator: Callable[[float], float]
 
     def __post_init__(self):
-        if not (self.prior > 0 and np.isfinite(self.prior)):
+        try:
+            ok = isinstance(self.prior, numbers.Real) and self.prior > 0 and math.isfinite(self.prior)
+        except OverflowError:  # an int beyond the float range
+            ok = False
+        if not ok:
             raise ValidationError(f"prior for {self.id!r} must be positive and finite")
 
 
@@ -296,8 +299,12 @@ def bayes_update(hypotheses: HypothesisSet, observation) -> dict[str, float]:
     """Posterior weights prior * likelihood, normalized across the set."""
     likelihoods = []
     for h in hypotheses.entries:
-        lk = float(h.evaluator(observation))
-        if lk < 0 or not np.isfinite(lk):
+        value = h.evaluator(observation)
+        try:
+            lk = float(value)
+        except (TypeError, ValueError, OverflowError):  # not a number, or an int beyond the float range
+            lk = math.nan
+        if not (lk >= 0 and math.isfinite(lk)):
             raise ValidationError(f"likelihood for {h.id!r} must be finite and nonnegative")
         likelihoods.append(lk)
     weights = [h.prior * lk for h, lk in zip(hypotheses.entries, likelihoods)]

@@ -57,7 +57,17 @@ class ProjectorDecomposition:
     @classmethod
     def from_json(cls, data: dict) -> "ProjectorDecomposition":
         dim, ranks, ops = (json_field(data, key, "decomposition") for key in ("dim", "ranks", "projectors"))
+        if not _is_int(dim):
+            raise ValidationError(f"decomposition field 'dim' must be an integer, got {dim!r}")
+        if not (isinstance(ranks, list) and all(_is_int(r) for r in ranks)):
+            raise ValidationError(f"decomposition field 'ranks' must be a list of integers, got {ranks!r}")
+        if not isinstance(ops, list):
+            raise ValidationError(f"decomposition field 'projectors' must be a list, got {ops!r}")
         return cls(dim=dim, ranks=tuple(ranks), projectors=tuple(Operator.from_json(p) for p in ops))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _validate_ranks(dim: int, ranks: Sequence[int]) -> None:

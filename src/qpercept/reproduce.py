@@ -15,9 +15,9 @@ from typing import Optional
 import numpy as np
 
 from . import inference, toymodels
+from .errors import DEFAULT_SEED
 from .measures import PerceptionSpace, profile_from_density, typicality_of_density
 
-DEFAULT_SEED = 42
 SAMPLES = 1_000_000  # per Monte Carlo check
 
 

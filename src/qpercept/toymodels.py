@@ -24,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import BLOCK, MAX_PARTS, MAX_SAMPLES
 from .errors import DegenerateInput, DimensionMismatch, ValidationError, check_finite, check_seed
 from .hypotheses import ExperienceFamily, Explicit, ProjectionSequence
 from .measures import measure_density
@@ -285,12 +286,6 @@ class MonteCarloFraction:
         return {"seed": self.seed, "samples": self.samples, "blockSize": BLOCK}
 
 
-BLOCK = 2**16
-# a run-time bound, not a memory one (memory is one block): about 0.06 s per
-# 10^6 samples on a 2-core Xeon VM, so 10^9 take about a minute
-MAX_SAMPLES = 10**9
-
-
 def linear_positivity_fraction(samples: int, seed: int) -> MonteCarloFraction:
     """Fraction of uniformly sampled (Q, R) direction pairs that keep the
     two-step histories linearly positive, for a pure state.
@@ -400,11 +395,6 @@ class EprCatReport:
 
     def unconfused_fraction_alternative(self, parts: int = 2) -> float:
         return _unconfused_fraction(parts)
-
-
-# not a cost bound (the measure is O(parts)): 1023 is the largest count for
-# which the fraction 2^(1-parts) is still a normal double
-MAX_PARTS = 1023
 
 
 def _unconfused_fraction(parts: int) -> float:

@@ -452,6 +452,66 @@ def test_cold_cli_never_imports_scipy():
     )
 
 
+# the sqmn argvs of the golden files
+SQMN_ARGVS = [
+    ["sqmn", "posterior", "--p", "1.3", "--n", "0.7"],
+    ["sqmn", "moments", "--p", "1.5"],
+    ["sqmn", "band", "--floor", "0.02"],
+    ["sqmn", "experiment", "--k", "6", "--n", "1.2", "--level", "0.95"],
+]
+
+
+def test_cold_sqmn_never_imports_numpy():
+    # sqmn and the package itself need only math; the operators names load
+    # numpy on first use
+    code = (
+        "import contextlib, io, sys\n"
+        "import qpercept, qpercept.cli as cli\n"
+        "assert 'numpy' not in sys.modules, 'import'\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+        "    cli.main(['--help'])\n"
+        "assert 'numpy' not in sys.modules, '--help'\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        "    assert cli.main(['epr', '--parts', 'x']) == 2\n"
+        "assert 'numpy' not in sys.modules, 'usage error'\n"
+        f"for argv in {SQMN_ARGVS!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0\n"
+        "    assert 'numpy' not in sys.modules, argv\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['epr', '--theta', '1.0']) == 0\n"
+        "assert 'numpy' in sys.modules, 'epr'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_subprocess_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_package_names_resolve_on_first_use():
+    code = (
+        "import sys, qpercept\n"
+        "assert 'numpy' not in sys.modules\n"
+        "for name in qpercept.__all__:\n"
+        "    getattr(qpercept, name)\n"
+        "from qpercept import operators\n"
+        "assert qpercept.State is operators.State and qpercept.identity is operators.identity\n"
+        "namespace = {}\n"
+        "exec('from qpercept import *', namespace)\n"
+        "assert set(qpercept.__all__) <= set(namespace)\n"
+        "try:\n"
+        "    qpercept.operator\n"
+        "except AttributeError as exc:\n"
+        "    assert str(exc) == \"module 'qpercept' has no attribute 'operator'\", exc\n"
+        "else:\n"
+        "    raise AssertionError('qpercept.operator resolved')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_subprocess_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize(
     "argv",

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qpercept import inference, toymodels
 from qpercept.errors import DimensionMismatch, QPerceptError, UnknownLabel, ValidationError
-from qpercept.hypotheses import ExperienceFamily, Explicit, spec_from_json
+from qpercept.hypotheses import _SPEC_TYPES, ExperienceFamily, Explicit, realize, spec_from_json
 from qpercept.manyworlds import ProjectorDecomposition, sample_decomposition
 from qpercept.measures import (
     PerceptionSpace,
@@ -292,6 +292,7 @@ _OP = {"dim": 1, "re": [[1.0]], "im": [[0.0]]}
         (spec_from_json, {"variant": "projector"}, "experience spec JSON has no key 'op'"),
         (spec_from_json, {"variant": "sequence", "chain": 3}, "spec JSON needs an operator or a list, got int"),
         (spec_from_json, {"variant": "explicit", "op": {}}, "operator JSON has no key 're'"),
+        (spec_from_json, {"variant": "explicit", "op": []}, "Explicit op must be an Operator, got tuple"),
         (Operator.from_json, {}, "operator JSON has no key 're'"),
         (Operator.from_json, {"re": [[1.0]], "im": [[0.0]]}, "operator JSON has no key 'dim'"),
         (Operator.from_json, {**_OP, "re": [["a"]]}, "arrays of numbers"),
@@ -300,6 +301,10 @@ _OP = {"dim": 1, "re": [[1.0]], "im": [[0.0]]}
         (ProjectorDecomposition.from_json, {}, "decomposition JSON has no key 'dim'"),
         (ProjectorDecomposition.from_json, {"dim": 1, "ranks": [1]}, "decomposition JSON has no key 'projectors'"),
         (ProjectorDecomposition.from_json, {"dim": 1, "ranks": [1], "projectors": [{}]}, "no key 're'"),
+        (ProjectorDecomposition.from_json, {"dim": "2", "ranks": [1, 1], "projectors": []}, "field 'dim'"),
+        (ProjectorDecomposition.from_json, {"dim": 2, "ranks": 3, "projectors": []}, "field 'ranks'"),
+        (ProjectorDecomposition.from_json, {"dim": 2, "ranks": [1.0, 1], "projectors": []}, "field 'ranks'"),
+        (ProjectorDecomposition.from_json, {"dim": 1, "ranks": [1], "projectors": 3}, "field 'projectors'"),
     ],
 )
 def test_json_decoders_raise_validation_errors_naming_the_key(decode, data, message):
@@ -321,3 +326,38 @@ def test_seeds_must_be_nonnegative_integers(draw, seed):
     with pytest.raises(ValidationError, match=f"the seed must be a nonnegative integer, got {seed!r}"):
         draw(seed)
     draw(np.int64(0))  # numpy integers are integers
+
+
+# every field of every spec variant holds one operator, or a sequence of them
+# (HistorySum: of chains); the identity fits each
+_ONE = {"dim": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+_SEQUENCE_FIELDS = {"group": [_ONE], "components": [_ONE], "chain": [_ONE], "sequences": [[_ONE]]}
+_SPEC_FIELDS = [(cls, f.name) for cls in _SPEC_TYPES for f in dataclasses.fields(cls)]
+
+
+@pytest.mark.parametrize("cls, name", _SPEC_FIELDS, ids=[f"{c.tag}.{n}" for c, n in _SPEC_FIELDS])
+@pytest.mark.parametrize(
+    "bad", [[], [[]], [_ONE], [[_ONE]], _ONE], ids=["[]", "[[]]", "[op]", "[[op]]", "op"]
+)
+def test_wrong_typed_spec_fields_are_validation_errors(cls, name, bad):
+    # JSON that decodes, to operators and tuples nested the wrong way
+    data = {"variant": cls.tag}
+    data.update((f.name, _SEQUENCE_FIELDS.get(f.name, _ONE)) for f in dataclasses.fields(cls))
+    realize(spec_from_json(data), State.pure([1.0, 0.0]))
+    if bad != data[name]:
+        data[name] = bad
+        with pytest.raises(ValidationError):
+            spec_from_json(data)
+
+
+@pytest.mark.parametrize("prior", [10**400, 0, -1.0, math.inf, math.nan, "1", None])
+def test_a_prior_outside_the_positive_floats_is_a_validation_error(prior):
+    with pytest.raises(ValidationError, match="prior for 'a' must be positive and finite"):
+        inference.Hypothesis("a", prior, lambda _: 0.5)
+
+
+@pytest.mark.parametrize("likelihood", [10**400, -0.5, math.inf, math.nan, "x", None])
+def test_a_likelihood_outside_the_nonnegative_floats_is_a_validation_error(likelihood):
+    hyps = inference.HypothesisSet((inference.Hypothesis("a", 1.0, lambda _: likelihood),))
+    with pytest.raises(ValidationError, match="likelihood for 'a' must be finite and nonnegative"):
+        inference.bayes_update(hyps, None)

@@ -4,7 +4,9 @@ here, not in a traced benchmark run."""
 import importlib.util
 from pathlib import Path
 
-from qpercept import cli, toymodels  # noqa: F401  (cli imports every instrumented module)
+# cli imports its subcommands' modules only when they run, so every
+# instrumented module is imported here for _swaps to see its bindings
+from qpercept import cli, inference, reproduce, toymodels  # noqa: F401
 
 _TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
