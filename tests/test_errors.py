@@ -292,7 +292,6 @@ _OP = {"dim": 1, "re": [[1.0]], "im": [[0.0]]}
         (spec_from_json, {"variant": "projector"}, "experience spec JSON has no key 'op'"),
         (spec_from_json, {"variant": "sequence", "chain": 3}, "spec JSON needs an operator or a list, got int"),
         (spec_from_json, {"variant": "explicit", "op": {}}, "operator JSON has no key 're'"),
-        (spec_from_json, {"variant": "explicit", "op": []}, "Explicit op must be an Operator, got tuple"),
         (Operator.from_json, {}, "operator JSON has no key 're'"),
         (Operator.from_json, {"re": [[1.0]], "im": [[0.0]]}, "operator JSON has no key 'dim'"),
         (Operator.from_json, {**_OP, "re": [["a"]]}, "arrays of numbers"),
@@ -305,6 +304,7 @@ _OP = {"dim": 1, "re": [[1.0]], "im": [[0.0]]}
         (ProjectorDecomposition.from_json, {"dim": 2, "ranks": 3, "projectors": []}, "field 'ranks'"),
         (ProjectorDecomposition.from_json, {"dim": 2, "ranks": [1.0, 1], "projectors": []}, "field 'ranks'"),
         (ProjectorDecomposition.from_json, {"dim": 1, "ranks": [1], "projectors": 3}, "field 'projectors'"),
+        (spec_from_json, {"variant": "explicit", "op": []}, "Explicit op must be an Operator, got tuple"),
     ],
 )
 def test_json_decoders_raise_validation_errors_naming_the_key(decode, data, message):
