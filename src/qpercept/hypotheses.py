@@ -22,7 +22,7 @@ from typing import Callable, ClassVar, Optional, Sequence, Union, get_args
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidExperience, UnknownLabel, ValidationError, json_field
-from .operators import TOL, Operator, State, is_projector
+from .operators import TOL, Operator, State, expectation, expectations, is_projector
 
 
 def _check_operators(spec, *names: str) -> None:
@@ -238,13 +238,11 @@ class LinearlyPositive:
     def realize(self, state: Optional[State] = None) -> Operator:
         if state is None:
             raise ValidationError("LinearlyPositive requires a state to verify nonnegativity")
-        if state.dim != self.class_op.dim:
-            raise DimensionMismatch("state and class operator dims differ")
-        re_c = (self.class_op.mat + self.class_op.mat.conj().T) / 2
-        val = float(np.trace(state.mat @ re_c).real)
+        re_c = Operator((self.class_op.mat + self.class_op.mat.conj().T) / 2)
+        val = expectation(state, re_c).real
         if val < -TOL:
             raise InvalidExperience(f"<Re C> = {val} is negative beyond tolerance")
-        return Operator(re_c)
+        return re_c
 
 
 ExperienceSpec = Union[
@@ -511,16 +509,19 @@ def decoherence_report(family: ExperienceFamily, state: State) -> list[PairDecoh
         if not isinstance(spec, (ProjectionSequence, HistorySum)):
             raise ValidationError(f"entry {label!r} is not a history spec")
         specs.append((label, spec))
-    class_ops = {label: spec.class_operator().mat for label, spec in specs}
-    for mat in class_ops.values():
-        if mat.shape[0] != state.dim:
-            raise DimensionMismatch("history and state dims differ")
-
+    ops = [spec.class_operator() for _, spec in specs]
+    _same_dim(ops, "history specs")
+    class_ops = {label: op.mat for (label, _), op in zip(specs, ops)}
+    pairs = list(itertools.combinations(specs, 2))
+    # every pair's <C_a^dag C_b> from one kernel call, made before _strong_projector
+    # multiplies by the state, so a state of the wrong dimension is a DimensionMismatch
+    products = [class_ops[la].conj().T @ class_ops[lb] for (la, _), (lb, _) in pairs]
+    crosses = expectations(state, np.array(products, dtype=complex).reshape((-1,) + ops[0].mat.shape))
     strong = {label: _strong_projector(mat, state) for label, mat in class_ops.items()}
     records = []
-    for (la, sa), (lb, sb) in itertools.combinations(specs, 2):
+    for ((la, sa), (lb, sb)), cross in zip(pairs, crosses):
         ca, cb = class_ops[la], class_ops[lb]
-        cross = complex(np.trace(state.mat @ ca.conj().T @ cb))
+        cross = complex(cross)
         identical = np.max(np.abs(ca - cb)) <= TOL
         homog = _chains_sum_homogeneous(sa, sb)
         consistent = None

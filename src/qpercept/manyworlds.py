@@ -9,13 +9,14 @@ seeded Monte Carlo with membership predicates.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationError, json_field
-from .operators import Operator, State, expectation, haar_random_unitary
+from .operators import Operator, State, expectations, haar_random_unitary
 
 
 @dataclass(frozen=True)
@@ -27,8 +28,7 @@ class ProjectorDecomposition:
     projectors: tuple[Operator, ...]
 
     def __post_init__(self):
-        ranks = tuple(int(r) for r in self.ranks)
-        _validate_ranks(self.dim, ranks)
+        ranks = _validate_ranks(self.dim, self.ranks)
         object.__setattr__(self, "ranks", ranks)
         projectors = tuple(self.projectors)
         object.__setattr__(self, "projectors", projectors)
@@ -67,29 +67,38 @@ class ProjectorDecomposition:
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    """True for Python and numpy integers, False for bools, floats and strings."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _validate_ranks(dim: int, ranks: Sequence[int]) -> None:
-    if dim < 1:
-        raise ValidationError("dim must be >= 1")
-    if len(ranks) == 0 or any(r < 1 for r in ranks):
-        raise ValidationError("ranks must be positive integers")
+def _int_tuple(values, what: str) -> tuple[int, ...]:
+    """The values as a tuple of Python ints; a ValidationError unless each is an integer."""
+    out = tuple(values) if np.iterable(values) else (None,)
+    if not all(map(_is_int, out)):
+        raise ValidationError(f"{what} must be a sequence of integers, got {values!r}")
+    return tuple(map(int, out))
+
+
+def _validate_ranks(dim: int, ranks: Sequence[int]) -> tuple[int, ...]:
+    """The ranks as a tuple of ints: positive integers partitioning the integer dim."""
+    if not _is_int(dim) or dim < 1:
+        raise ValidationError(f"dim must be an integer >= 1, got {dim!r}")
+    ranks = _int_tuple(ranks, "ranks")
+    if len(ranks) == 0 or min(ranks) < 1:
+        raise ValidationError(f"ranks must be positive integers, got {ranks!r}")
     if sum(ranks) != dim:
-        raise ValidationError(f"ranks {tuple(ranks)} do not partition dim {dim}")
+        raise ValidationError(f"ranks {ranks} do not partition dim {dim}")
+    return ranks
 
 
 def manifold_dimension(dim: int, ranks: Sequence[int]) -> int:
     """Real dimension dim^2 - sum(r_i^2) of the space of decompositions."""
-    ranks = tuple(int(r) for r in ranks)
-    _validate_ranks(dim, ranks)
-    return dim * dim - sum(r * r for r in ranks)
+    return dim * dim - sum(r * r for r in _validate_ranks(dim, ranks))
 
 
 def sample_decomposition(dim: int, ranks: Sequence[int], seed: int) -> ProjectorDecomposition:
     """Decomposition from contiguous column blocks of a Haar-random unitary."""
-    ranks = tuple(int(r) for r in ranks)
-    _validate_ranks(dim, ranks)
+    ranks = _validate_ranks(dim, ranks)
     u = haar_random_unitary(dim, seed).mat
     projectors = []
     start = 0
@@ -102,11 +111,7 @@ def sample_decomposition(dim: int, ranks: Sequence[int], seed: int) -> Projector
 
 def density_at(decomposition: ProjectorDecomposition, state: State) -> np.ndarray:
     """Expectations of each projector in the state; they sum to one."""
-    if decomposition.dim != state.dim:
-        raise DimensionMismatch("decomposition and state dims differ")
-    return np.array(
-        [float(expectation(state, p).real) for p in decomposition.projectors]
-    )
+    return expectations(state, np.stack([p.mat for p in decomposition.projectors])).real
 
 
 def gram_metric(derivs: np.ndarray) -> np.ndarray:
@@ -197,24 +202,19 @@ class ReplicatedDecoherenceFunctional:
         decomps = _check_steps(decompositions, state.dim)
         self.state = state
         self.decompositions = decomps
-        # <P_j P_i> per step, indexed [step][j, i]
+        # <P_j P_i> per step, indexed [step][j, i]: one kernel call on the m^2 products
         self._pair = []
         for d in decomps:
-            m = len(d)
-            table = np.empty((m, m), dtype=complex)
-            for j in range(m):
-                for i in range(m):
-                    table[j, i] = np.trace(
-                        state.mat @ d.projectors[j].mat @ d.projectors[i].mat
-                    )
-            self._pair.append(table)
+            p = np.stack([q.mat for q in d.projectors])
+            products = (p[:, np.newaxis] @ p[np.newaxis]).reshape(-1, d.dim, d.dim)
+            self._pair.append(expectations(state, products).reshape(len(d), len(d)))
 
     @property
     def steps(self) -> int:
         return len(self.decompositions)
 
     def _check(self, history: Sequence[int]) -> tuple[int, ...]:
-        h = tuple(int(i) for i in history)
+        h = _int_tuple(history, "a history")
         if len(h) != self.steps:
             raise ValidationError("history length must equal the number of steps")
         for k, idx in enumerate(h):
@@ -255,18 +255,22 @@ class SpectralExperience:
     terms: tuple[tuple[tuple[float, int, int], ...], ...]
 
     def __post_init__(self):
-        terms = tuple(
-            tuple((float(lam), int(d), int(j)) for lam, d, j in per_perception)
-            for per_perception in self.terms
-        )
-        for per_perception in terms:
-            for lam, _, _ in per_perception:
-                if lam < 0 or not np.isfinite(lam):
-                    raise ValidationError("spectral coefficients must be nonnegative")
+        try:
+            terms = tuple(tuple(_spectral_term(*term) for term in per) for per in self.terms)
+        except TypeError:
+            raise ValidationError(
+                "spectral terms must be one sequence of (coefficient, step, projector) triples per perception"
+            ) from None
         object.__setattr__(self, "terms", terms)
 
     def __len__(self) -> int:
         return len(self.terms)
+
+
+def _spectral_term(lam, d_idx, p_idx) -> tuple[float, int, int]:
+    if not (isinstance(lam, numbers.Real) and 0 <= lam < np.inf):
+        raise ValidationError(f"spectral coefficients must be nonnegative and finite, got {lam!r}")
+    return (float(lam), *_int_tuple((d_idx, p_idx), "spectral step and projector indices"))
 
 
 def spectral_operator(
@@ -276,7 +280,7 @@ def spectral_operator(
 ) -> Operator:
     """Experience operator of one perception from its spectral terms."""
     decomps = _check_steps(decompositions)
-    if not 0 <= perception < len(spectral):
+    if not (_is_int(perception) and 0 <= perception < len(spectral)):
         raise ValidationError(f"perception index {perception} out of range")
     dim = decomps[0].dim
     acc = np.zeros((dim, dim), dtype=complex)

@@ -3,8 +3,9 @@
 A perception space is a finite set of labeled points with positive prior
 weights; continuum models are represented on quadrature grids (trapezoid rule)
 so that all integrals become fixed-order sums.  A measure profile attaches a
-nonnegative density m(p) to each point; every statistic here is a ratio of
-weighted sums over the profile.
+nonnegative density m(p) to each point, Re Tr(rho E(p)) read off the realized
+stack by the one kernel `operators.expectations`; every statistic here is a
+ratio of weighted sums over the profile.
 
 Tie semantics: the "at most as dense" set uses <= and the "at least as dense"
 set uses >=, so plateaus of equal density inflate both sides.
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .hypotheses import ExperienceFamily, ExperienceSpec, realize, realize_stack
 from .manyworlds import gram_metric
-from .operators import TOL, State
+from .operators import TOL, State, expectations
 
 
 @dataclass(frozen=True)
@@ -135,16 +136,10 @@ class PerceptionSpace:
 
 @dataclass(frozen=True)
 class MeasureProfile:
-    """Per-point measure density over a perception space.
-
-    total_measure is the weighted sum of the density; the summation order is
-    fixed (index-ascending pairwise) so totals are reproducible.  None
-    computes it; a given total must agree with it.
-    """
+    """Per-point measure density over a perception space."""
 
     space: PerceptionSpace
     density: np.ndarray
-    total_measure: Optional[float] = None
 
     def __post_init__(self):
         m = np.asarray(self.density, dtype=float)
@@ -156,11 +151,6 @@ class MeasureProfile:
             raise ValidationError("density values must be nonnegative")
         m.setflags(write=False)
         object.__setattr__(self, "density", m)
-        total = float(np.sum(self.point_measures))
-        if self.total_measure is None:
-            object.__setattr__(self, "total_measure", total)
-        elif abs(total - self.total_measure) > 1e-10 * max(1.0, abs(total)):
-            raise ValidationError("total_measure inconsistent with density and weights")
 
     @cached_property
     def point_measures(self) -> np.ndarray:
@@ -168,6 +158,12 @@ class MeasureProfile:
         out = self.density * self.space.weights
         out.setflags(write=False)
         return out
+
+    @cached_property
+    def total_measure(self) -> float:
+        """The weighted sum of the density, in numpy's fixed (index-ascending
+        pairwise) summation order, so totals are reproducible."""
+        return float(np.sum(self.point_measures))
 
     def resolve(self, p) -> int:
         """Accept an integer index or a label and return the index."""
@@ -207,18 +203,11 @@ def measure_density(state: State, spec: ExperienceSpec) -> float:
     return float(_densities(state, realize(spec, state).mat[np.newaxis])[0])
 
 
-def _expectations(state: State, stack: np.ndarray) -> np.ndarray:
-    """Tr(state E) for every operator E of a realized (N, d, d) stack."""
-    if state.dim != stack.shape[1]:
-        raise DimensionMismatch(f"state dim {state.dim} != operator dim {stack.shape[1]}")
-    return np.trace(state.mat @ stack, axis1=1, axis2=2)
-
-
 def _densities(state: State, stack: np.ndarray) -> np.ndarray:
     """Re Tr(state E) for every operator E of the stack, in one pass; a negative
     value within TOL reads 0, and the first one with an imaginary part or a
     value below -TOL raises."""
-    vals = _expectations(state, stack)
+    vals = expectations(state, stack)
     bad = (np.abs(vals.imag) > TOL) | (vals.real < -TOL)
     if bad.any():
         val = complex(vals[np.argmax(bad)])
@@ -364,7 +353,7 @@ def prior_measure(
     if mode == "prior_state":
         if prior_state is None:
             raise ValidationError("prior_state mode needs a reference state")
-        return _expectations(prior_state, family.realize_all()).real
+        return expectations(prior_state, family.realize_all()).real
     if mode == "riemannian":
         if space is None or space.points is None:
             raise ValidationError("riemannian mode needs a grid space")
@@ -422,15 +411,11 @@ def relative_density(spec: ExperienceSpec, state: State) -> State:
 
 def overlap_fraction(spec_a: ExperienceSpec, spec_b: ExperienceSpec, state: State) -> float:
     """<EE'><E'E> / (<EE><E'E'>), the squared relative-state overlap for projectors."""
-    ea = realize(spec_a, state).mat
-    eb = realize(spec_b, state).mat
-    aa = float(np.trace(state.mat @ ea @ ea).real)
-    bb = float(np.trace(state.mat @ eb @ eb).real)
-    if aa <= TOL or bb <= TOL:
+    ea, eb = realize_stack([spec_a, spec_b], state)
+    aa, bb, ab, ba = expectations(state, np.array([ea @ ea, eb @ eb, ea @ eb, eb @ ea]))
+    if aa.real <= TOL or bb.real <= TOL:
         raise ZeroMeasure("overlap fraction needs both perceptions to have support")
-    ab = complex(np.trace(state.mat @ ea @ eb))
-    ba = complex(np.trace(state.mat @ eb @ ea))
-    return float((ab * ba).real / (aa * bb))
+    return float((ab * ba).real / (aa.real * bb.real))
 
 
 def profile_rows(profile: MeasureProfile) -> list[dict]:

@@ -1,8 +1,11 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
-Operators and states are immutable wrappers around complex matrices.  All
-arithmetic is double precision; every structural check in the package compares
-against one absolute tolerance, TOL, on unit-scale matrices.  Random sampling
+Operators and states are immutable wrappers around complex matrices.  Every
+measure in the package is an expectation Tr(state E) from one kernel,
+`expectations`, which takes an (N, d, d) stack of operators and checks the
+dimensions once; `expectation` is its batch of one.  All arithmetic is double
+precision; every structural check in the package compares against one
+absolute tolerance, TOL, on unit-scale matrices.  Random sampling
 takes an explicit nonnegative integer seed and never shares generator state.
 """
 from __future__ import annotations
@@ -153,11 +156,17 @@ def identity(dim: int) -> Operator:
     return Operator(np.eye(dim, dtype=complex))
 
 
+def expectations(state: State, stack: np.ndarray) -> np.ndarray:
+    """Tr(state E) for every operator E of an (N, d, d) stack: the package's one
+    expectation kernel, complex in general and real for Hermitian E."""
+    if state.dim != stack.shape[-1]:
+        raise DimensionMismatch(f"state dim {state.dim} != operator dim {stack.shape[-1]}")
+    return np.trace(state.mat @ stack, axis1=1, axis2=2)
+
+
 def expectation(state: State, op: Operator) -> complex:
-    """Expectation value Tr(state . op); complex in general, real for Hermitian op."""
-    if state.dim != op.dim:
-        raise DimensionMismatch(f"state dim {state.dim} != operator dim {op.dim}")
-    return complex(np.trace(state.mat @ op.mat))
+    """Expectation value Tr(state . op): the kernel's batch of one."""
+    return complex(expectations(state, op.mat[np.newaxis])[0])
 
 
 def check_bloch_angles(polar: float, azimuth: float) -> None:

@@ -36,7 +36,7 @@ from .operators import (
     bloch_projector,
     bloch_vector,
     check_bloch_angles,
-    expectation,
+    expectations,
     from_params,
     identity,
     tensor_product,
@@ -408,10 +408,6 @@ def _unconfused_fraction(parts: int) -> float:
     return unconfused / _cat_measure([_PLUS + _MINUS] * parts)
 
 
-def _mu(rho: State, op: Operator) -> float:
-    return float(expectation(rho, op).real)
-
-
 @cache
 def _singlet() -> tuple[State, float, float]:
     """The singlet state and its two region-A measures, which no detector
@@ -419,8 +415,8 @@ def _singlet() -> tuple[State, float, float]:
     up = np.array([1.0, 0.0], dtype=complex)
     down = np.array([0.0, 1.0], dtype=complex)
     rho = State.pure((np.kron(up, down) - np.kron(down, up)) / math.sqrt(2))
-    i2 = identity(2)
-    return rho, _mu(rho, tensor_product(_P0, i2)), _mu(rho, tensor_product(_P1, i2))
+    region_a = np.stack([tensor_product(p, identity(2)).mat for p in (_P0, _P1)])
+    return (rho, *expectations(rho, region_a).real.tolist())
 
 
 def epr_cat_model(theta: float) -> EprCatReport:
@@ -430,14 +426,16 @@ def epr_cat_model(theta: float) -> EprCatReport:
     rho, mu_up_a, mu_down_a = _singlet()
     b_up = bloch_projector(theta, 0.0)
     b_down = identity(2) - b_up
+    joint = np.stack([tensor_product(a, b).mat for a in (_P0, _P1) for b in (b_up, b_down)])
+    up_up, up_down, down_up, down_down = expectations(rho, joint).real.tolist()
     return EprCatReport(
         theta=theta,
         mu_up_a=mu_up_a,
         mu_down_a=mu_down_a,
-        mu_up_up=_mu(rho, tensor_product(_P0, b_up)),
-        mu_up_down=_mu(rho, tensor_product(_P0, b_down)),
-        mu_down_up=_mu(rho, tensor_product(_P1, b_up)),
-        mu_down_down=_mu(rho, tensor_product(_P1, b_down)),
+        mu_up_up=up_up,
+        mu_up_down=up_down,
+        mu_down_up=down_up,
+        mu_down_down=down_down,
         confused_original=_confused_original(),
     )
 

@@ -1,9 +1,11 @@
 import argparse
 import contextlib
+import csv
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -135,6 +137,41 @@ def test_flag_command_and_schema(run_cli):
     assert payload["provenance"]["seed"] == 7
     dens = payload["results"]["maximally_mixed_densities"]
     assert dens == pytest.approx([0.5, 0.25, 0.25], abs=1e-9)
+
+
+def _json_value(payload, key):
+    """The JSON value a CSV key names: a dot selects a field, [i] a list item."""
+    value = payload
+    for name, index in re.findall(r"([^.\[\]]+)|\[(\d+)\]", key):
+        value = value[name] if name else value[int(index)]
+    return value
+
+
+def _leaf_count(obj):
+    if isinstance(obj, (dict, list)):
+        return sum(_leaf_count(v) for v in (obj.values() if isinstance(obj, dict) else obj))
+    return 1
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["epr", "--theta", "1.1", "--parts", "2"], {"params.theta", "results.mu_up_up"}),
+        (
+            ["flag", "--dim", "2", "--ranks", "1,1", "--seed", "5"],
+            {"params.ranks[1]", "results.decomposition.projectors[0].re[0][1]"},
+        ),
+    ],
+)
+def test_csv_report_has_one_row_per_json_value(argv, expected, run_cli):
+    payload = json.loads(run_cli(*argv).stdout)
+    rows = list(csv.reader(io.StringIO(run_cli(*argv, "--format", "csv").stdout)))
+    assert rows[0] == ["key", "value"]
+    keys = [k for k, _ in rows[1:]]
+    assert expected <= set(keys)
+    assert len(set(keys)) == len(keys) == _leaf_count(payload)
+    for k, value in rows[1:]:
+        assert value == str(_json_value(payload, k)), k
 
 
 def test_twostep_pointwise_command(run_cli):

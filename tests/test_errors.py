@@ -11,16 +11,37 @@ from hypothesis import strategies as st
 
 from qpercept import inference, toymodels
 from qpercept.errors import DimensionMismatch, QPerceptError, UnknownLabel, ValidationError
-from qpercept.hypotheses import _SPEC_TYPES, ExperienceFamily, Explicit, realize, spec_from_json
-from qpercept.manyworlds import ProjectorDecomposition, sample_decomposition
+from qpercept.hypotheses import (
+    _SPEC_TYPES,
+    ExperienceFamily,
+    Explicit,
+    LinearlyPositive,
+    ProjectionSequence,
+    Projector,
+    decoherence_report,
+    realize,
+    spec_from_json,
+)
+from qpercept.manyworlds import (
+    ProjectorDecomposition,
+    ReplicatedDecoherenceFunctional,
+    SpectralExperience,
+    density_at,
+    manifold_dimension,
+    sample_decomposition,
+    spectral_operator,
+)
 from qpercept.measures import (
     PerceptionSpace,
+    overlap_fraction,
+    prior_measure,
     profile_from_density,
+    relative_density,
     relative_state,
     typicality,
     typicality_of_density,
 )
-from qpercept.operators import Operator, State, haar_random_unitary, identity
+from qpercept.operators import Operator, State, bloch_projector, haar_random_unitary, identity
 
 any_float = st.floats(allow_nan=True, allow_infinity=True)
 
@@ -178,6 +199,117 @@ def test_a_two_step_state_of_the_wrong_dimension_is_a_dimension_mismatch():
     direction = toymodels.Direction(0.5, 0.5)
     with pytest.raises(DimensionMismatch, match="2-dimensional"):
         toymodels.two_step_analysis(direction, direction, direction, state=State.maximally_mixed(3))
+
+
+# qubit operators against a 3-dimensional state, at every site that forms Tr(rho E)
+QUBIT_STEP = sample_decomposition(2, (1, 1), 0)
+TWO_STEP = toymodels.two_step_family(bloch_projector(0.4, 0.0), bloch_projector(1.2, 0.7))
+QUBIT_Q, QUBIT_R = (TWO_STEP.entries[0][1].chain[i] for i in (1, 0))
+STATE_3 = State.maximally_mixed(3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: density_at(QUBIT_STEP, STATE_3),
+        lambda: ReplicatedDecoherenceFunctional(STATE_3, [QUBIT_STEP]),
+        lambda: decoherence_report(TWO_STEP, STATE_3),
+        lambda: decoherence_report(ExperienceFamily(TWO_STEP.entries[:1]), STATE_3),
+        lambda: decoherence_report(
+            ExperienceFamily(TWO_STEP.entries[:1] + (("c", ProjectionSequence((identity(3),)), 1.0),)),
+            State.maximally_mixed(2),
+        ),
+        lambda: realize(LinearlyPositive(QUBIT_Q @ QUBIT_R), STATE_3),
+        lambda: overlap_fraction(Projector(QUBIT_Q), Projector(QUBIT_R), STATE_3),
+        lambda: overlap_fraction(Projector(QUBIT_Q), Projector(identity(3)), State.maximally_mixed(2)),
+        lambda: relative_density(Projector(QUBIT_Q), STATE_3),
+        lambda: prior_measure(TWO_STEP, "prior_state", STATE_3),
+    ],
+    ids=[
+        "density_at",
+        "functional",
+        "decoherence_report",
+        "decoherence_report_one_entry",
+        "decoherence_report_mixed_family",
+        "linearly_positive",
+        "overlap_fraction",
+        "overlap_fraction_mixed_specs",
+        "relative_density",
+        "prior_state",
+    ],
+)
+def test_qubit_operators_against_a_qutrit_state_are_a_dimension_mismatch(call):
+    with pytest.raises(DimensionMismatch):
+        call()
+
+
+FUNCTIONAL = ReplicatedDecoherenceFunctional(State.maximally_mixed(2), [QUBIT_STEP])
+SPECTRAL = SpectralExperience((((1.0, 0, 0),), ((1.0, 0, 1),)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: sample_decomposition(2, (1.5, 1.5), 0), "ranks must be a sequence of integers"),
+        (lambda: sample_decomposition(2.0, (1, 1), 0), "dim must be an integer"),
+        (lambda: sample_decomposition(True, (1,), 0), "dim must be an integer"),
+        (lambda: sample_decomposition(2, 2, 0), "ranks must be a sequence of integers"),
+        (lambda: manifold_dimension(2, ("1", "1")), "ranks must be a sequence of integers"),
+        (lambda: manifold_dimension(2, (True, True)), "ranks must be a sequence of integers"),
+        (lambda: manifold_dimension(2, (3, -1)), "ranks must be positive integers"),
+        (lambda: ProjectorDecomposition(2, (1.0, 1.0), QUBIT_STEP.projectors), "ranks must be a sequence"),
+        (lambda: SpectralExperience((((0.5, 1.7, 0.2),),)), "indices must be a sequence of integers"),
+        (lambda: SpectralExperience(((0.5, 0, 0),)), r"\(coefficient, step, projector\) triples"),
+        (lambda: SpectralExperience((((0.5, 0),),)), r"\(coefficient, step, projector\) triples"),
+        (lambda: SpectralExperience((((-0.5, 0, 0),),)), "nonnegative and finite, got -0.5"),
+        (lambda: SpectralExperience((((math.nan, 0, 0),),)), "nonnegative and finite, got nan"),
+        (lambda: SpectralExperience((((math.inf, 0, 0),),)), "nonnegative and finite, got inf"),
+        (lambda: SpectralExperience((((None, 0, 0),),)), "nonnegative and finite, got None"),
+        (lambda: SpectralExperience((((0.5, "0", 0),),)), "indices must be a sequence of integers"),
+        (lambda: SpectralExperience(3), r"\(coefficient, step, projector\) triples"),
+        (lambda: SpectralExperience((3,)), r"\(coefficient, step, projector\) triples"),
+        (lambda: FUNCTIONAL.atomic((0.9,), (0,)), r"a history must be a sequence of integers, got \(0.9,\)"),
+        (lambda: FUNCTIONAL.atomic(0, (0,)), "a history must be a sequence of integers, got 0"),
+        (lambda: spectral_operator(SPECTRAL, [QUBIT_STEP], 0.5), "perception index 0.5 out of range"),
+    ],
+    ids=[
+        "float_ranks",
+        "float_dim",
+        "bool_dim",
+        "int_ranks",
+        "string_ranks",
+        "bool_ranks",
+        "negative_rank",
+        "decomposition_float_ranks",
+        "float_term_indices",
+        "term_not_nested",
+        "short_term",
+        "negative_coefficient",
+        "nan_coefficient",
+        "infinite_coefficient",
+        "missing_coefficient",
+        "string_index",
+        "terms_not_a_sequence",
+        "perception_not_a_sequence",
+        "float_history",
+        "int_history",
+        "float_perception",
+    ],
+)
+def test_non_integer_ranks_and_indices_are_validation_errors(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
+def test_numpy_integer_ranks_and_indices_keep_working():
+    two, one, zero = np.int64(2), np.int64(1), np.int64(0)
+    decomp = sample_decomposition(two, (one, one), 0)
+    assert decomp.ranks == (1, 1) and all(type(r) is int for r in decomp.ranks)
+    assert manifold_dimension(two, np.array([1, 1])) == 2
+    spectral = SpectralExperience((((1.0, zero, one),),))
+    assert spectral.terms == (((1.0, 0, 1),),) and type(spectral.terms[0][0][1]) is int
+    assert spectral_operator(spectral, [decomp], zero).dim == 2
+    assert FUNCTIONAL.atomic((zero,), np.array([0])) == FUNCTIONAL.atomic((0,), (0,))
 
 
 @pytest.mark.parametrize(

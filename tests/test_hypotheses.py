@@ -281,6 +281,19 @@ def test_decoherence_identical_chains_not_applicable():
     assert record.weak_residual == pytest.approx(measure, abs=1e-12)
 
 
+def test_decoherence_residuals_match_the_per_pair_trace(rng):
+    state = random_state(rng, 3)
+    chains = {k: (random_projector(rng, 3, 1), random_projector(rng, 3, 2)) for k in "abc"}
+    fam = ExperienceFamily(tuple((k, ProjectionSequence(c), 1.0) for k, c in chains.items()))
+    records = decoherence_report(fam, state)
+    assert [(r.label_a, r.label_b) for r in records] == [("a", "b"), ("a", "c"), ("b", "c")]
+    for r in records:
+        ca, cb = (ProjectionSequence(chains[k]).class_operator().mat for k in (r.label_a, r.label_b))
+        ref = complex(np.trace(state.mat @ ca.conj().T @ cb))
+        assert abs(r.weak_residual - ref.real) <= 1e-14
+        assert abs(r.medium_residual - abs(ref)) <= 1e-14
+
+
 def test_decoherence_state_aligned_with_first_projector():
     # Q equal to the state projector kills the complex residual
     state_dir = (0.8, 1.1)

@@ -370,6 +370,17 @@ def test_spectral_operator_rejects_steps_of_different_dimensions():
         spectral_operator(spectral, decs, 0)
 
 
+def test_functional_pairs_match_the_triple_product_trace(rng):
+    # the kernel takes Tr(rho (P_j P_i)); the loop's (rho P_j) P_i rounds differently
+    for dim in (2, 3, 4):
+        state = random_state(rng, dim)
+        dec = sample_decomposition(dim, (1,) * dim, int(rng.integers(0, 2**30)))
+        f = ReplicatedDecoherenceFunctional(state, [dec])
+        for j, i in itertools.product(range(dim), repeat=2):
+            ref = np.trace(state.mat @ dec.projectors[j].mat @ dec.projectors[i].mat)
+            assert abs(f.atomic((i,), (j,)) - ref) <= 1e-14
+
+
 def test_spectral_experience_validation():
     with pytest.raises(ValidationError):
         SpectralExperience(terms=(((-0.5, 0, 0),),))

@@ -265,8 +265,6 @@ def test_profile_products_are_formed_once_and_read_only():
     assert np.array_equal(prof.point_measures, prof.density * prof.space.weights)
     assert prof.total_measure == float(np.sum(prof.density * prof.space.weights))
     assert MeasureProfile(prof.space, prof.density).total_measure == prof.total_measure
-    with pytest.raises(ValidationError, match="inconsistent"):
-        MeasureProfile(prof.space, prof.density, prof.total_measure + 1.0)
 
 
 def test_tie_semantics_inflate_both_sides():
@@ -510,6 +508,18 @@ def test_overlap_fraction_examples(rng):
     assert overlap_fraction(p, p, state) == pytest.approx(1.0, rel=1e-10)
     q = Projector(identity(2) - bloch_projector(0.5, 0.5))
     assert overlap_fraction(p, q, state) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_overlap_fraction_matches_the_four_traces(rng):
+    for dim in (2, 3, 4):
+        state = random_state(rng, dim)
+        ea, eb = (random_projector(rng, dim, rank) for rank in (1, dim - 1))
+
+        def tr(x, y):
+            return complex(np.trace(state.mat @ x.mat @ y.mat))
+
+        ref = (tr(ea, eb) * tr(eb, ea)).real / (tr(ea, ea).real * tr(eb, eb).real)
+        assert overlap_fraction(Projector(ea), Projector(eb), state) == pytest.approx(ref, rel=1e-12, abs=1e-14)
 
 
 def test_overlap_fraction_matches_relative_state_overlap(rng):

@@ -15,6 +15,7 @@ from qpercept.operators import (
     State,
     bloch_projector,
     expectation,
+    expectations,
     from_params,
     haar_random_unitary,
     identity,
@@ -62,6 +63,19 @@ def test_expectation_against_elementwise_trace_oracle(rng):
 def test_expectation_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         expectation(State.maximally_mixed(2), identity(3))
+    with pytest.raises(DimensionMismatch, match="state dim 2 != operator dim 3"):
+        expectations(State.maximally_mixed(2), np.stack([identity(3).mat] * 2))
+
+
+def test_expectations_equal_the_per_operator_trace_bit_for_bit(rng):
+    for dim in (1, 2, 3, 5):
+        state = random_state(rng, dim)
+        stack = np.stack([random_hermitian(rng, dim).mat for _ in range(6)])
+        vals = expectations(state, stack)
+        assert vals.shape == (6,)
+        for val, op in zip(vals, stack):
+            assert val == np.trace(state.mat @ op)
+            assert complex(val) == expectation(state, Operator(op))
 
 
 @given(a=st.complex_numbers(max_magnitude=3), b=st.complex_numbers(max_magnitude=3), seed=st.integers(0, 2**20))
