@@ -241,6 +241,8 @@ def _cmd_reproduce(args) -> tuple[dict, int]:
 
 
 def _cmd_typicality(args) -> tuple[dict, int]:
+    from dataclasses import asdict
+
     from . import toymodels
 
     _require(args, "model")
@@ -253,13 +255,7 @@ def _cmd_typicality(args) -> tuple[dict, int]:
             raise ValidationError(f"--grid applies to --model circle only, not {args.model}")
     if args.model == "circle":
         params = _require(args, "model", "theta", "phi")
-        res = toymodels.circle_model(args.theta, args.phi)
-        results = {
-            "density": res.density,
-            "typicality": res.typicality,
-            "reversed_typicality": res.reversed_typicality,
-            "dual_typicality": res.dual_typicality,
-        }
+        results = asdict(toymodels.circle_model(args.theta, args.phi))
         if args.grid is not None:
             from . import reproduce
 
@@ -268,12 +264,7 @@ def _cmd_typicality(args) -> tuple[dict, int]:
             )
     elif args.model == "sphere":
         params = _require(args, "model", "theta", "vartheta", "phi")
-        res = toymodels.sphere_model(args.theta, args.vartheta, args.phi)
-        results = {
-            "density": res.density,
-            "typicality": res.typicality,
-            "cold_probability": res.cold_probability,
-        }
+        results = asdict(toymodels.sphere_model(args.theta, args.vartheta, args.phi))
     else:
         from .operators import State
 
@@ -329,22 +320,16 @@ def _cmd_sqmn(args) -> tuple[dict, int]:
 
 
 def _cmd_epr(args) -> tuple[dict, int]:
+    from dataclasses import asdict
+
     from . import toymodels
 
     params = _require(args, "theta")
     parts = params["parts"] = 2 if args.parts is None else args.parts
     rep = toymodels.epr_cat_model(args.theta)
-    results = {
-        "mu_up_a": rep.mu_up_a,
-        "mu_down_a": rep.mu_down_a,
-        "mu_up_up": rep.mu_up_up,
-        "mu_up_down": rep.mu_up_down,
-        "mu_down_up": rep.mu_down_up,
-        "mu_down_down": rep.mu_down_down,
-        "confused_original": rep.confused_original,
-        "unconfused_fraction_alternative": rep.unconfused_fraction_alternative(parts),
-        "parts": parts,
-    }
+    results = {key: value for key, value in asdict(rep).items() if key != "theta"}
+    results["unconfused_fraction_alternative"] = rep.unconfused_fraction_alternative(parts)
+    results["parts"] = parts
     return {"command": "epr", "params": params, "results": results}, 0
 
 
@@ -377,6 +362,8 @@ def _cmd_flag(args) -> tuple[dict, int]:
 
 
 def _cmd_twostep(args) -> tuple[dict, int]:
+    from dataclasses import asdict
+
     from . import toymodels
 
     if args.mc is not None:
@@ -392,16 +379,9 @@ def _cmd_twostep(args) -> tuple[dict, int]:
         return report, 0
     params = _require(args, "theta0", "phi0", "theta1", "phi1", "theta2", "phi2")
     directions = [toymodels.Direction(params[f"theta{i}"], params[f"phi{i}"]) for i in range(3)]
-    rep = toymodels.two_step_analysis(*directions)
+    results = asdict(toymodels.two_step_analysis(*directions))
     tri = toymodels.triangle_equivalence(*directions)
-    results = {
-        "weak_residual": rep.weak_residual,
-        "medium_residual": rep.medium_residual,
-        "linearly_positive": rep.linearly_positive,
-        "measures": list(rep.measures),
-        "triangle_status": tri.status,
-        "all_triangles_sub_pi": tri.all_triangles_sub_pi,
-    }
+    results.update(triangle_status=tri.status, all_triangles_sub_pi=tri.all_triangles_sub_pi)
     return {"command": "twostep", "params": params, "results": results}, 0
 
 

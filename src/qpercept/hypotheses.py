@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidExperience, UnknownLabel, ValidationError, json_field
 from .operators import TOL, Operator, State, expectation, expectations, is_projector
+from .operators import negligible, pairwise_negligible
 
 
 def _check_operators(spec, *names: str) -> None:
@@ -58,11 +59,6 @@ def _same_dim(ops: Sequence[Operator], what: str) -> None:
 
 def _left_product(ops: Sequence[Operator]) -> np.ndarray:
     return functools.reduce(np.matmul, [op.mat for op in ops])
-
-
-def _pairwise_within(mats: Sequence[np.ndarray], pair: Callable) -> bool:
-    """True iff every entry of pair(A, B) is within TOL for every pair of matrices."""
-    return all(np.max(np.abs(pair(a, b))) <= TOL for a, b in itertools.combinations(mats, 2))
 
 
 def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -137,7 +133,7 @@ class SymmetrizedProjector:
             raise ValidationError("symmetry group must be a nonempty finite list")
         _same_dim((self.inner,) + group, "inner projector and group elements")
         for g in group:
-            if np.max(np.abs(g.mat @ g.mat.conj().T - np.eye(g.dim))) > 1e-8:
+            if not negligible(g.mat @ g.mat.conj().T - np.eye(g.dim)):
                 raise ValidationError("group elements must be unitary")
 
     def realize(self, state: Optional[State] = None) -> Operator:
@@ -165,7 +161,7 @@ class ProductProjector:
         _same_dim(comps, "ProductProjector components")
 
     def realize(self, state: Optional[State] = None) -> Operator:
-        if not _pairwise_within([c.mat for c in self.components], _commutator):
+        if not pairwise_negligible([c.mat for c in self.components], _commutator):
             raise ValidationError("ProductProjector components do not commute within TOL")
         return Operator(_left_product(self.components))
 
@@ -427,11 +423,11 @@ def check_linear_independence(family: ExperienceFamily, *, state: Optional[State
 
 
 def check_commuting(family: ExperienceFamily) -> bool:
-    return _pairwise_within(family.realize_all(), _commutator)
+    return pairwise_negligible(family.realize_all(), _commutator)
 
 
 def check_orthogonal(family: ExperienceFamily) -> bool:
-    return _pairwise_within(family.realize_all(), np.matmul)
+    return pairwise_negligible(family.realize_all(), np.matmul)
 
 
 @dataclass(frozen=True)
@@ -468,12 +464,12 @@ def _chains_sum_homogeneous(spec_a, spec_b) -> bool:
     diff = [
         k
         for k, (p, q) in enumerate(zip(spec_a.chain, spec_b.chain))
-        if np.max(np.abs(p.mat - q.mat)) > TOL
+        if not negligible(p.mat - q.mat)
     ]
     if len(diff) != 1:
         return False
     p, q = spec_a.chain[diff[0]], spec_b.chain[diff[0]]
-    if np.max(np.abs(p.mat @ q.mat)) > TOL:
+    if not negligible(p.mat @ q.mat):
         return False
     return is_projector(p + q)
 
@@ -486,18 +482,18 @@ def _strong_projector(c_mat: np.ndarray, state: State):
     feasibility reduces to a Gram consistency check solved in least squares.
     """
     evals, evecs = np.linalg.eigh(state.mat)
-    support = evals > 1e-12
+    support = evals > TOL
     v = evecs[:, support]
     w = c_mat @ v
-    if np.max(np.abs(w)) <= TOL:
+    if negligible(w):
         return np.zeros_like(c_mat)
     gram_residual = w.conj().T @ (v - w)
-    if np.max(np.abs(gram_residual)) > TOL:
+    if not negligible(gram_residual):
         return None
     u, s, _ = np.linalg.svd(w, full_matrices=False)
     cols = u[:, s > TOL]
     proj = cols @ cols.conj().T
-    if np.max(np.abs(proj @ v - w)) > TOL:
+    if not negligible(proj @ v - w):
         return None
     return proj
 
@@ -522,13 +518,12 @@ def decoherence_report(family: ExperienceFamily, state: State) -> list[PairDecoh
     for ((la, sa), (lb, sb)), cross in zip(pairs, crosses):
         ca, cb = class_ops[la], class_ops[lb]
         cross = complex(cross)
-        identical = np.max(np.abs(ca - cb)) <= TOL
+        identical = negligible(ca - cb)
         homog = _chains_sum_homogeneous(sa, sb)
         consistent = None
         if not identical and homog:
             consistent = abs(2 * cross.real) <= TOL
         pa, pb = strong[la], strong[lb]
-        strongly = pa is not None and pb is not None and np.max(np.abs(pa @ pb)) <= TOL
         records.append(
             PairDecoherence(
                 label_a=la,
@@ -538,7 +533,7 @@ def decoherence_report(family: ExperienceFamily, state: State) -> list[PairDecoh
                 medium_residual=abs(cross),
                 homogeneous_sum=homog,
                 consistent=consistent,
-                strongly_decoherent=bool(strongly),
+                strongly_decoherent=pa is not None and pb is not None and negligible(pa @ pb),
             )
         )
     return records

@@ -198,6 +198,11 @@ def _bisect(below: Callable[[float], bool], lo: float, hi: float, tol: float) ->
     return (lo + hi) / 2
 
 
+# de_quad stops halving once two step levels agree to this relative amount: a
+# rounding slack a few thousand ulps above double precision, not a structural tolerance
+DE_QUAD_RTOL = 1e-12
+
+
 def de_quad(f: Callable[[float], float], a: float, b: float = math.inf) -> tuple[float, float]:
     """Integral of f over [a, b], or over [a, inf) when b is inf, and a bound on its error.
 
@@ -241,7 +246,7 @@ def de_quad(f: Callable[[float], float], a: float, b: float = math.inf) -> tuple
         h, k = h / 2, 2 * k
         terms += [term(i * h) for i in range(1 - k, k, 2)]
         previous, value = value, h * math.fsum(terms)
-        if abs(value - previous) <= 1e-12 * abs(value):
+        if abs(value - previous) <= DE_QUAD_RTOL * abs(value):
             break
     return value, abs(value - previous) + tails
 

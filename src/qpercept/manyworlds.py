@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationError, json_field
-from .operators import Operator, State, expectations, haar_random_unitary
+from .operators import TOL, Operator, State, expectations, haar_random_unitary, negligible, pairwise_negligible
 
 
 @dataclass(frozen=True)
@@ -30,18 +30,17 @@ class ProjectorDecomposition:
     def __post_init__(self):
         ranks = _validate_ranks(self.dim, self.ranks)
         object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "dim", int(self.dim))
         projectors = tuple(self.projectors)
         object.__setattr__(self, "projectors", projectors)
         if len(projectors) != len(ranks):
             raise ValidationError("one projector per rank required")
-        total = sum(p.mat for p in projectors)
-        if np.max(np.abs(total - np.eye(self.dim))) > 1e-10:
+        if not negligible(sum(p.mat for p in projectors) - np.eye(self.dim)):
             raise ValidationError("projectors must sum to the identity")
-        for a, b in itertools.combinations(projectors, 2):
-            if np.max(np.abs(a.mat @ b.mat)) > 1e-10:
-                raise ValidationError("projectors must be pairwise orthogonal")
+        if not pairwise_negligible([p.mat for p in projectors], np.matmul):
+            raise ValidationError("projectors must be pairwise orthogonal")
         for p, r in zip(projectors, ranks):
-            if abs(np.trace(p.mat).real - r) > 1e-8:
+            if abs(np.trace(p.mat).real - r) > TOL:
                 raise ValidationError("projector trace does not match its declared rank")
 
     def __len__(self) -> int:

@@ -4,20 +4,34 @@ Operators and states are immutable wrappers around complex matrices.  Every
 measure in the package is an expectation Tr(state E) from one kernel,
 `expectations`, which takes an (N, d, d) stack of operators and checks the
 dimensions once; `expectation` is its batch of one.  All arithmetic is double
-precision; every structural check in the package compares against one
-absolute tolerance, TOL, on unit-scale matrices.  Random sampling
+precision.  Every structural check compares against one absolute tolerance,
+TOL, on unit-scale matrices; a matrix check goes through the max-norm
+predicate `negligible`.  The only other thresholds are two named rounding
+slacks, toymodels.LINPOS_SLACK and inference.DE_QUAD_RTOL.  Random sampling
 takes an explicit nonnegative integer seed and never shares generator state.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationError, check_finite, check_seed, json_field
 
 TOL = 1e-9
+
+
+def negligible(x) -> bool:
+    """True iff every entry of x is within TOL of zero: the one structural rule."""
+    return bool(np.max(np.abs(x)) <= TOL)
+
+
+def pairwise_negligible(mats: Sequence[np.ndarray], pair: Callable) -> bool:
+    """True iff pair(A, B) is negligible for every pair of the matrices."""
+    return all(negligible(pair(a, b)) for a, b in itertools.combinations(mats, 2))
 
 
 def _as_square_complex(entries) -> np.ndarray:
@@ -92,7 +106,7 @@ class State:
     def __post_init__(self):
         mat = _as_square_complex(self.mat)
         object.__setattr__(self, "mat", mat)
-        if np.max(np.abs(mat - mat.conj().T)) > TOL:
+        if not negligible(mat - mat.conj().T):
             raise ValidationError("state is not Hermitian within tolerance")
         if abs(np.trace(mat).real - 1.0) > TOL or abs(np.trace(mat).imag) > TOL:
             raise ValidationError("state trace differs from 1 beyond tolerance")
@@ -148,7 +162,7 @@ class ParamPositiveOp:
         if not all(math.isfinite(v) for v in vals):
             raise ValidationError("parameters must be finite")
         r = math.sqrt(self.x**2 + self.y**2 + self.z**2)
-        if self.t < r - 1e-12:
+        if self.t < r - TOL:
             raise ValidationError(f"t={self.t} violates t >= sqrt(x^2+y^2+z^2)={r}")
 
 
@@ -205,12 +219,12 @@ def tensor_product(a: Operator, b: Operator) -> Operator:
 
 
 def is_hermitian(op: Operator) -> bool:
-    return bool(np.max(np.abs(op.mat - op.mat.conj().T)) <= TOL)
+    return negligible(op.mat - op.mat.conj().T)
 
 
 def is_projector(op: Operator) -> bool:
     """True iff op is Hermitian and idempotent within TOL (max-norm)."""
-    return is_hermitian(op) and bool(np.max(np.abs(op.mat @ op.mat - op.mat)) <= TOL)
+    return is_hermitian(op) and negligible(op.mat @ op.mat - op.mat)
 
 
 def haar_random_unitary(dim: int, seed: int, size: int | None = None):

@@ -62,22 +62,24 @@ class Direction:
 # ball model: three-parameter continuum of positive operators on a qubit
 
 
+def _ball_r2(u: float, v: float, w: float) -> float:
+    """u^2 + v^2 + w^2 of finite coordinates in the unit ball (within TOL)."""
+    check_finite("ball coordinates", u, v, w)
+    r2 = u * u + v * v + w * w
+    if r2 > 1.0 + TOL:
+        raise ValidationError("ball coordinates must satisfy u^2+v^2+w^2 <= 1")
+    return r2
+
+
 def ball_experience(u: float, v: float, w: float) -> Operator:
     """Experience operator at ball coordinates, projection-normalized."""
-    r2 = u * u + v * v + w * w
-    if r2 > 1.0 + 1e-12:
-        raise ValidationError("ball coordinates must satisfy u^2+v^2+w^2 <= 1")
-    t = 1.0 / (1.0 + r2)
+    t = 1.0 / (1.0 + _ball_r2(u, v, w))
     return from_params(ParamPositiveOp(t=t, x=t * u, y=t * v, z=t * w))
 
 
 def ball_prior_weight(u: float, v: float, w: float) -> float:
     """Prior density sqrt(8)/(1+u^2+v^2+w^2)^3 from the operator-family metric."""
-    check_finite("ball coordinates", u, v, w)
-    r2 = u * u + v * v + w * w
-    if r2 > 1.0 + 1e-12:
-        raise ValidationError("ball coordinates must satisfy u^2+v^2+w^2 <= 1")
-    return math.sqrt(8.0) / (1.0 + r2) ** 3
+    return math.sqrt(8.0) / (1.0 + _ball_r2(u, v, w)) ** 3
 
 
 def ball_model_density(state: State, u: float, v: float, w: float) -> float:
@@ -205,8 +207,7 @@ class TwoStepReport:
     measures: tuple[float, float, float, float]
 
     def __post_init__(self):
-        total = sum(self.measures)
-        if min(self.measures) < -1e-10 or abs(total - 1.0) > 1e-9:
+        if min(self.measures) < -TOL or abs(sum(self.measures) - 1.0) > TOL:
             raise ValidationError("history measures must be nonnegative and sum to 1")
 
 
@@ -257,6 +258,12 @@ def _pauli_vector(x) -> np.ndarray:
     return np.einsum("ij,kji->k", x.mat, _PAULI).real
 
 
+# A rounding slack, not a structural tolerance: at TOL the closed form accepts
+# what the matrix route Tr rho Q R rejects, e.g. at the (polar, azimuth)
+# directions state (0, 0), Q (1, 0) and R (6.84e-9, 1).
+LINPOS_SLACK = 1e-12
+
+
 def _linpos_mask(aq, ar, qr):
     """Interval condition on the dot products a.q, a.r and q.r of the Bloch
     vectors of the state (a) and the projectors Q and R; broadcasts.
@@ -267,8 +274,7 @@ def _linpos_mask(aq, ar, qr):
     mid = 0.25 * (1.0 + qr + aq + ar)
     lhs = np.maximum(0.0, 0.5 * (aq + ar))
     rhs = np.minimum(0.5 * (1.0 + aq), 0.5 * (1.0 + ar))
-    eps = 1e-12
-    return (lhs <= mid + eps) & (mid <= rhs + eps)
+    return (lhs <= mid + LINPOS_SLACK) & (mid <= rhs + LINPOS_SLACK)
 
 
 @dataclass(frozen=True)

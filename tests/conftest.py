@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qpercept import toymodels
 from qpercept.hypotheses import realize
 from qpercept.operators import Operator, State, expectation, haar_random_unitary
+
+# a failure the randomized search finds prints a @reproduce_failure blob that replays it
+settings.register_profile("qpercept", print_blob=True)
+settings.load_profile("qpercept")
 
 
 def random_state(rng: np.random.Generator, dim: int) -> State:

@@ -1,6 +1,7 @@
 """The library's error contract: bad input raises a QPerceptError, and
 in-range input returns finite values."""
 import dataclasses
+import json
 import math
 import warnings
 
@@ -305,6 +306,7 @@ def test_numpy_integer_ranks_and_indices_keep_working():
     two, one, zero = np.int64(2), np.int64(1), np.int64(0)
     decomp = sample_decomposition(two, (one, one), 0)
     assert decomp.ranks == (1, 1) and all(type(r) is int for r in decomp.ranks)
+    assert type(decomp.dim) is int and json.dumps(decomp.to_json())
     assert manifold_dimension(two, np.array([1, 1])) == 2
     spectral = SpectralExperience((((1.0, zero, one),),))
     assert spectral.terms == (((1.0, 0, 1),),) and type(spectral.terms[0][0][1]) is int

@@ -1,8 +1,10 @@
 """One structural tolerance: every check compares against operators.TOL, and no
 public callable, method or dataclass field lets a caller choose another."""
+import ast
 import dataclasses
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import numpy as np
@@ -10,13 +12,17 @@ import pytest
 
 import qpercept
 from qpercept import reproduce
+from qpercept.errors import ValidationError
 from qpercept.hypotheses import (
     ExperienceFamily,
     Explicit,
+    SymmetrizedProjector,
     check_linear_independence,
     check_pairwise_independence,
 )
-from qpercept.operators import Operator, State
+from qpercept.manyworlds import ProjectorDecomposition
+from qpercept.operators import TOL, Operator, ParamPositiveOp, State
+from qpercept.toymodels import TwoStepReport, ball_experience, ball_prior_weight
 
 MODULES = [
     importlib.import_module(f"qpercept.{info.name}") for info in pkgutil.iter_modules(qpercept.__path__)
@@ -70,3 +76,85 @@ def test_a_positional_tolerance_is_not_read_as_a_state(check):
     with pytest.raises(TypeError):
         check(family, 1e-6)
     assert check(family, state=State.maximally_mixed(2)) in (True, (True, None))
+
+
+SMALL = 1e-3
+
+
+def _literal(node) -> bool:
+    """A number written in the source, with or without a sign."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant)
+
+
+def small_float_literals(source: str) -> list[int]:
+    """Lines of the nonzero float literals below SMALL in magnitude that are
+    neither the value of a module-level UPPER_CASE constant nor a literal call
+    argument (a battery check's tolerance, a bisection's precision)."""
+    tree = ast.parse(source)
+    allowed = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value is not None:
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            if all(isinstance(t, ast.Name) and t.id.isupper() for t in targets):
+                allowed.update(map(id, ast.walk(stmt.value)))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            args = node.args + [k.value for k in node.keywords]
+            allowed.update(id(sub) for arg in args if _literal(arg) for sub in ast.walk(arg))
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and type(node.value) is float
+        and 0 < abs(node.value) < SMALL
+        and id(node) not in allowed
+    )
+
+
+def test_the_scan_flags_a_bare_threshold_only():
+    source = "EPS = 1e-12\nx = f(1e-12, tol=-1e-9)\nif x > 1e-12:\n    y = 1e-2 * x - 0.0\nz = [2e-4]\nW: float\n"
+    assert small_float_literals(source) == [3, 5]
+
+
+def test_every_threshold_is_tol_or_a_named_constant():
+    src = pathlib.Path(qpercept.__file__).parent
+    found = [f"{p.stem}:{line}" for p in sorted(src.glob("*.py")) for line in small_float_literals(p.read_text())]
+    assert found == []
+
+
+def _diag(*entries) -> Operator:
+    return Operator(np.diag(entries))
+
+
+def _rank_one_of_five(e: float) -> ProjectorDecomposition:
+    # four diagonal entries of e/4 put the first trace e above its rank, while
+    # each product entry e/4 (1 - e/4) stays inside the orthogonality check
+    first = np.diag([1.0] + [e / 4] * 4)
+    return ProjectorDecomposition(5, (1, 4), (Operator(first), Operator(np.eye(5) - first)))
+
+
+# each check at a distance e from its boundary, in the max-norm it tests
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda e: SymmetrizedProjector(_diag(1.0, 0.0), (_diag(1.0, np.sqrt(1.0 + e)),)), "unitary"),
+        (lambda e: ProjectorDecomposition(2, (1, 1), (_diag(1.0, 0.0), _diag(0.0, 1.0 + e))), "the identity"),
+        (lambda e: ProjectorDecomposition(2, (1, 1), (_diag(1.0, e), _diag(0.0, 1.0 - e))), "orthogonal"),
+        (_rank_one_of_five, "declared rank"),
+        (lambda e: ParamPositiveOp(1.0 - e, 1.0, 0.0, 0.0), "violates"),
+        (lambda e: ball_experience(np.sqrt(1.0 + e), 0.0, 0.0), "ball coordinates"),
+        (lambda e: ball_prior_weight(0.0, np.sqrt(1.0 + e), 0.0), "ball coordinates"),
+        (lambda e: TwoStepReport(0.0, 0.0, True, (-e, 0.5, 0.5 + e, 0.0)), "nonnegative"),
+        (lambda e: TwoStepReport(0.0, 0.0, True, (0.25, 0.25, 0.25, 0.25 + e)), "sum to 1"),
+    ],
+    ids=[
+        "unitarity", "completeness", "orthogonality", "rank_trace", "cone",
+        "ball", "ball_prior", "negative_measure", "measure_sum",
+    ],
+)
+def test_each_check_accepts_half_tol_and_rejects_twice_tol(build, message):
+    build(0.5 * TOL)
+    with pytest.raises(ValidationError, match=message):
+        build(2.0 * TOL)
