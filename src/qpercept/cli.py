@@ -28,7 +28,7 @@ import re
 import sys
 from typing import Any, Optional
 
-from .errors import BLOCK, DEFAULT_SEED, MAX_PARTS, MAX_SAMPLES, QPerceptError, ValidationError
+from .errors import BLOCK, DEFAULT_SEED, MAX_PARTS, MAX_SAMPLES, QPerceptError, ValidationError, check_int
 
 SEED_ENV_VAR = "QPERCEPT_SEED"
 # a 10^7-point circle grid peaks near 0.57 GB of resident memory
@@ -96,9 +96,7 @@ def _resolve_seed(args: argparse.Namespace) -> int:
             seed = int(env)
         except ValueError as exc:
             raise ValidationError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    if seed is not None and seed < 0:
-        raise ValidationError(f"the seed must be nonnegative, got {seed}")
-    return DEFAULT_SEED if seed is None else seed
+    return DEFAULT_SEED if seed is None else check_int("the seed", seed, 0)
 
 
 # before 3.13 argparse takes only -\d+ and -\d*\.\d+ for negative numbers,

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import erf, erfc
 from typing import Callable, Optional
 
-from .errors import DegenerateInput, QPerceptError, ValidationError, ZeroMeasure, check_finite
+from .errors import DegenerateInput, QPerceptError, ValidationError, ZeroMeasure, check_finite, check_int
 
 
 @dataclass(frozen=True)
@@ -34,12 +34,13 @@ class PowerLawModel:
     transform: Optional[Callable[[float], float]] = None
 
     def apply(self, m: float) -> float:
-        if self.transform is not None:
-            out = float(self.transform(m))
-        elif m == 0.0 and self.exponent == 0.0:
-            out = 1.0
-        else:
-            out = float(m**self.exponent)
+        check_finite("the measure density", m)
+        if m < 0:
+            raise ValidationError(f"the measure density must be nonnegative, got {m}")
+        try:
+            out = float(self.transform(m) if self.transform is not None else m**self.exponent)
+        except (OverflowError, ZeroDivisionError):  # the value leaves the float range, or 0 meets a negative power
+            out = math.inf
         if out < 0 or not math.isfinite(out):
             raise ValidationError("transformed density must be finite and nonnegative")
         return out
@@ -127,14 +128,13 @@ def posterior_moment(p: float, m: int) -> float:
     p^(2m) or the moment leaves the double range whatever p is: those orders
     fail at once, as does any p for which either leaves it.
     """
-    check_finite("p and m", p, m)
+    check_finite("p", p)
     if p == 0:
         raise DegenerateInput("p = 0 carries no information about the exponent")
-    if m < 0 or int(m) != m:
-        raise ValidationError("moment order must be a nonnegative integer")
+    m = check_int("the moment order", m, 0)
     moment = math.inf
     if m <= 268:
-        double_fact = math.prod(range(3, 2 * int(m) + 2, 2))
+        double_fact = math.prod(range(3, 2 * m + 2, 2))
         try:
             moment = double_fact / ((m + 1) * p ** (2 * m))
         except (OverflowError, ZeroDivisionError):  # a factor overflows or p^(2m) underflows
@@ -283,16 +283,15 @@ def dual_posterior_moment(p: float, m: int) -> float:
     I_(2m+1) exceeds the double range above m = 170, so higher orders fail at
     once, as does any p for which (2/p^2)^m leaves that range.
     """
-    check_finite("p and m", p, m)
+    check_finite("p", p)
     if p == 0:
         raise DegenerateInput("p = 0 carries no information about the exponent")
-    if m < 0 or int(m) != m:
-        raise ValidationError("moment order must be a nonnegative integer")
+    m = check_int("the moment order", m, 0)
     moment = math.inf
     if m <= 170:
         norm, x1 = dual_normalization()
         try:
-            moment = 4.0 * norm * (2.0 / (p * p)) ** m * _dual_integral(2 * int(m) + 1, x1)
+            moment = 4.0 * norm * (2.0 / (p * p)) ** m * _dual_integral(2 * m + 1, x1)
         except (OverflowError, ZeroDivisionError):  # p * p underflows or the power overflows
             pass
     if not math.isfinite(moment):
@@ -335,11 +334,10 @@ def ranked_hypotheses(entries: list[tuple[str, Callable[[float], float]]]) -> Hy
 
 def _digit_strings(k: int) -> int:
     """10^k, refused before it is built when no float can hold it."""
-    if k < 1 or int(k) != k:
-        raise ValidationError("k must be a positive integer")
+    k = check_int("k", k, 1)
     if k > sys.float_info.max_10_exp:
         raise OverflowError(f"10^{k} digit strings exceed the float range (k <= {sys.float_info.max_10_exp})")
-    return 10 ** int(k)
+    return 10**k
 
 
 def digit_experiment(k: int, n1: int, n2: int, m1: float, m2: float, m3: float, n: float) -> float:
@@ -352,28 +350,24 @@ def digit_experiment(k: int, n1: int, n2: int, m1: float, m2: float, m3: float, 
     of the m's.
     """
     total = _digit_strings(k)
-    if n1 < 1 or n2 < 1 or int(n1) != n1 or int(n2) != n2:
-        raise ValidationError("group sizes must be positive integers")
-    n3 = total - int(n1) - int(n2)
+    n1, n2 = (check_int("a group size", size, 1) for size in (n1, n2))
+    n3 = total - n1 - n2
     if n3 < 0:
         raise ValidationError("n1 + n2 exceeds the number of digit strings")
+    check_finite("m1, m2, m3 and n", m1, m2, m3, n)
     if min(m1, m2, m3) <= 0:
         raise ValidationError("expectation values must be positive")
-
-    def power(m: float) -> float:
-        return 1.0 if n == 0 else float(m**n)
-
-    num = power(m2) * n2
-    den = power(m1) * n1 + num + (power(m3) * n3 if n3 > 0 else 0.0)
+    num = float(m2**n) * n2
+    den = float(m1**n) * n1 + num + (float(m3**n) * n3 if n3 > 0 else 0.0)
     return num / den
 
 
 def canonical_digit_experiment(k: int, n: float) -> float:
     """Digit experiment with n1 = 1, n2 = 10^(k/2), and m_i = 1/n_i."""
+    total = _digit_strings(k)
     if k % 2 != 0:
         raise ValidationError("the canonical setup needs an even k")
-    total = _digit_strings(k)
-    n2 = 10 ** (k // 2)
+    n2 = math.isqrt(total)
     n3 = total - 1 - n2
     return digit_experiment(k, 1, n2, 1.0, 1.0 / n2, 1.0 / n3, n)
 
@@ -385,8 +379,7 @@ def confidence_bound(k: int, level: float = 0.99) -> float:
     bisection.  The left side peaks at 1/3, so levels at or below 2/3 give a
     zero bound; the bound grows as the level approaches 1.
     """
-    if k < 1:
-        raise ValidationError("k must be >= 1")
+    k = check_int("k", k, 1)
     if not 0 < level < 1:
         raise ValidationError("level must be inside (0, 1)")
     threshold = 1.0 - level

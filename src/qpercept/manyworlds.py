@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError, json_field
+from .errors import DimensionMismatch, ValidationError, check_int, json_field
 from .operators import TOL, Operator, State, expectations, haar_random_unitary, negligible, pairwise_negligible
 
 
@@ -35,6 +35,8 @@ class ProjectorDecomposition:
         object.__setattr__(self, "projectors", projectors)
         if len(projectors) != len(ranks):
             raise ValidationError("one projector per rank required")
+        if any(p.dim != self.dim for p in projectors):
+            raise DimensionMismatch(f"every projector must have dimension {self.dim}")
         if not negligible(sum(p.mat for p in projectors) - np.eye(self.dim)):
             raise ValidationError("projectors must sum to the identity")
         if not pairwise_negligible([p.mat for p in projectors], np.matmul):
@@ -56,35 +58,21 @@ class ProjectorDecomposition:
     @classmethod
     def from_json(cls, data: dict) -> "ProjectorDecomposition":
         dim, ranks, ops = (json_field(data, key, "decomposition") for key in ("dim", "ranks", "projectors"))
-        if not _is_int(dim):
-            raise ValidationError(f"decomposition field 'dim' must be an integer, got {dim!r}")
-        if not (isinstance(ranks, list) and all(_is_int(r) for r in ranks)):
+        check_int("decomposition field 'dim'", dim, 1)
+        if not isinstance(ranks, list):
             raise ValidationError(f"decomposition field 'ranks' must be a list of integers, got {ranks!r}")
+        ranks = tuple(check_int("each entry of decomposition field 'ranks'", r, 1) for r in ranks)
         if not isinstance(ops, list):
             raise ValidationError(f"decomposition field 'projectors' must be a list, got {ops!r}")
-        return cls(dim=dim, ranks=tuple(ranks), projectors=tuple(Operator.from_json(p) for p in ops))
-
-
-def _is_int(value) -> bool:
-    """True for Python and numpy integers, False for bools, floats and strings."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _int_tuple(values, what: str) -> tuple[int, ...]:
-    """The values as a tuple of Python ints; a ValidationError unless each is an integer."""
-    out = tuple(values) if np.iterable(values) else (None,)
-    if not all(map(_is_int, out)):
-        raise ValidationError(f"{what} must be a sequence of integers, got {values!r}")
-    return tuple(map(int, out))
+        return cls(dim=dim, ranks=ranks, projectors=tuple(Operator.from_json(p) for p in ops))
 
 
 def _validate_ranks(dim: int, ranks: Sequence[int]) -> tuple[int, ...]:
     """The ranks as a tuple of ints: positive integers partitioning the integer dim."""
-    if not _is_int(dim) or dim < 1:
-        raise ValidationError(f"dim must be an integer >= 1, got {dim!r}")
-    ranks = _int_tuple(ranks, "ranks")
-    if len(ranks) == 0 or min(ranks) < 1:
-        raise ValidationError(f"ranks must be positive integers, got {ranks!r}")
+    dim = check_int("dim", dim, 1)
+    if not np.iterable(ranks):
+        raise ValidationError(f"ranks must be a sequence of integers, got {ranks!r}")
+    ranks = tuple(check_int("each rank", r, 1) for r in ranks)
     if sum(ranks) != dim:
         raise ValidationError(f"ranks {ranks} do not partition dim {dim}")
     return ranks
@@ -92,7 +80,8 @@ def _validate_ranks(dim: int, ranks: Sequence[int]) -> tuple[int, ...]:
 
 def manifold_dimension(dim: int, ranks: Sequence[int]) -> int:
     """Real dimension dim^2 - sum(r_i^2) of the space of decompositions."""
-    return dim * dim - sum(r * r for r in _validate_ranks(dim, ranks))
+    ranks = _validate_ranks(dim, ranks)
+    return sum(ranks) ** 2 - sum(r * r for r in ranks)  # the ranks sum to dim
 
 
 def sample_decomposition(dim: int, ranks: Sequence[int], seed: int) -> ProjectorDecomposition:
@@ -213,13 +202,12 @@ class ReplicatedDecoherenceFunctional:
         return len(self.decompositions)
 
     def _check(self, history: Sequence[int]) -> tuple[int, ...]:
-        h = _int_tuple(history, "a history")
+        if not np.iterable(history):
+            raise ValidationError(f"a history must be a sequence of integers, got {history!r}")
+        h = tuple(history)
         if len(h) != self.steps:
             raise ValidationError("history length must equal the number of steps")
-        for k, idx in enumerate(h):
-            if not 0 <= idx < len(self.decompositions[k]):
-                raise ValidationError(f"index {idx} out of range at step {k}")
-        return h
+        return tuple(check_int("a history index", i, 0, len(d) - 1) for i, d in zip(h, self.decompositions))
 
     def atomic(self, h, h_prime) -> complex:
         h = self._check(h)
@@ -269,7 +257,7 @@ class SpectralExperience:
 def _spectral_term(lam, d_idx, p_idx) -> tuple[float, int, int]:
     if not (isinstance(lam, numbers.Real) and 0 <= lam < np.inf):
         raise ValidationError(f"spectral coefficients must be nonnegative and finite, got {lam!r}")
-    return (float(lam), *_int_tuple((d_idx, p_idx), "spectral step and projector indices"))
+    return (float(lam), *(check_int("a spectral term's index", i, None) for i in (d_idx, p_idx)))
 
 
 def spectral_operator(
@@ -279,8 +267,7 @@ def spectral_operator(
 ) -> Operator:
     """Experience operator of one perception from its spectral terms."""
     decomps = _check_steps(decompositions)
-    if not (_is_int(perception) and 0 <= perception < len(spectral)):
-        raise ValidationError(f"perception index {perception} out of range")
+    perception = check_int("the perception index", perception, 0, len(spectral) - 1)
     dim = decomps[0].dim
     acc = np.zeros((dim, dim), dtype=complex)
     for lam, d_idx, p_idx in spectral.terms[perception]:

@@ -27,6 +27,7 @@ from .errors import (
     ValidationError,
     ZeroMeasure,
     check_finite,
+    check_int,
 )
 from .hypotheses import ExperienceFamily, ExperienceSpec, realize, realize_stack
 from .manyworlds import gram_metric
@@ -166,11 +167,11 @@ class MeasureProfile:
         return float(np.sum(self.point_measures))
 
     def resolve(self, p) -> int:
-        """Accept an integer index or a label and return the index."""
-        if isinstance(p, (int, np.integer)):
-            if not 0 <= int(p) < len(self.space):
-                raise ValidationError(f"index {p} out of range")
-            return int(p)
+        """Accept an index or a label and return the index.  A value that
+        offers __index__ (an int, a bool, a numpy integer) is an index, held
+        to the integer rule of errors.check_int; any other value is a label."""
+        if hasattr(p, "__index__"):
+            return check_int("the index", p, 0, len(self.space) - 1)
         return self.space.index_of(p)
 
     @cached_property

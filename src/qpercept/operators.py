@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError, check_finite, check_seed, json_field
+from .errors import DimensionMismatch, ValidationError, check_finite, check_int, json_field
 
 TOL = 1e-9
 
@@ -128,8 +128,7 @@ class State:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "State":
-        if dim < 1:
-            raise ValidationError("dim must be >= 1")
+        dim = check_int("dim", dim, 1)
         return cls(np.eye(dim, dtype=complex) / dim)
 
     @classmethod
@@ -167,7 +166,7 @@ class ParamPositiveOp:
 
 
 def identity(dim: int) -> Operator:
-    return Operator(np.eye(dim, dtype=complex))
+    return Operator(np.eye(check_int("dim", dim, 1), dtype=complex))
 
 
 def expectations(state: State, stack: np.ndarray) -> np.ndarray:
@@ -234,11 +233,9 @@ def haar_random_unitary(dim: int, seed: int, size: int | None = None):
     Deterministic for a fixed seed.  With `size` given, returns a stacked
     (size, dim, dim) array instead of a single Operator.
     """
-    if dim < 1:
-        raise ValidationError("dim must be >= 1")
-    check_seed(seed)
-    rng = np.random.default_rng(seed)
-    shape = (dim, dim) if size is None else (size, dim, dim)
+    dim = check_int("dim", dim, 1)
+    rng = np.random.default_rng(check_int("the seed", seed, 0))
+    shape = (dim, dim) if size is None else (check_int("size", size, 0), dim, dim)
     z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import inference, toymodels
-from .errors import DEFAULT_SEED
+from .errors import DEFAULT_SEED, check_int
 from .measures import PerceptionSpace, profile_from_density, typicality_of_density
 
 SAMPLES = 1_000_000  # per Monte Carlo check
@@ -69,7 +69,7 @@ def circle_checks() -> list[Check]:
 
 def circle_grid_typicality(theta: float, phi: float, points: int = 1_000_001) -> float:
     """Grid-counted typicality of the circle model at (theta, phi)."""
-    phis = np.linspace(-math.pi, math.pi, points)
+    phis = np.linspace(-math.pi, math.pi, check_int("points", points, 2))
     space = PerceptionSpace.grid({"phi": phis})
     profile = profile_from_density(space, toymodels.circle_density_array(theta, phis))
     return typicality_of_density(profile, toymodels.circle_model(theta, phi).density)
@@ -186,7 +186,7 @@ def sphere_checks(seed: int = DEFAULT_SEED) -> list[Check]:
     # a perception at angle 2 arccos(u^(1/4)) from the state, u uniform, lies at
     # least psi away when u <= cos^4(psi/2); the arccos route itself parts from
     # this only within a few ulps of the cut, where rounding decides
-    uniforms = np.random.default_rng(seed).random(SAMPLES)
+    uniforms = np.random.default_rng(check_int("the seed", seed, 0)).random(SAMPLES)
     for psi in (math.pi / 6, math.pi / 2, 5 * math.pi / 6):
         expected = math.cos(psi / 2) ** 4
         observed = int(np.count_nonzero(uniforms <= expected)) / SAMPLES

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BLOCK, MAX_PARTS, MAX_SAMPLES
-from .errors import DegenerateInput, DimensionMismatch, ValidationError, check_finite, check_seed
+from .errors import DegenerateInput, DimensionMismatch, ValidationError, check_finite, check_int
 from .hypotheses import ExperienceFamily, Explicit, ProjectionSequence
 from .measures import measure_density
 from .operators import (
@@ -299,9 +299,8 @@ def linear_positivity_fraction(samples: int, seed: int) -> MonteCarloFraction:
     Q and R are uniform, so every pure state gives the pole's distribution;
     there a.q and a.r are the polar cosines of Q and R.
     """
-    if not 1 <= samples <= MAX_SAMPLES:
-        raise ValidationError(f"need 1 to {MAX_SAMPLES} samples, got {samples}")
-    check_seed(seed)
+    samples = check_int("the sample count", samples, 1, MAX_SAMPLES)
+    seed = check_int("the seed", seed, 0)
     hits = 0
     for block, start in enumerate(range(0, samples, BLOCK)):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
@@ -404,10 +403,7 @@ class EprCatReport:
 
 
 def _unconfused_fraction(parts: int) -> float:
-    if parts < 1 or int(parts) != parts:
-        raise ValidationError("the cat must be divided into a positive number of parts")
-    if parts > MAX_PARTS:
-        raise ValidationError(f"the cat can be divided into at most {MAX_PARTS} parts, got {parts}")
+    parts = check_int("the number of parts of the cat", parts, 1, MAX_PARTS)
     # only all-plus and all-minus have no head/body disagreement; plus + minus is
     # the identity, so the measure of all 2^parts patterns is the identity's
     unconfused = _cat_measure([_PLUS] * parts) + _cat_measure([_MINUS] * parts)

@@ -373,7 +373,9 @@ def test_epr_parts_above_bound_exits_two(capsys):
         toymodels.epr_cat_model(0.0).unconfused_fraction_alternative(toymodels.MAX_PARTS + 1)
     assert cli.main(["epr", "--theta", "0.3", "--parts", "1024"]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err == "qpercept: invalid input: the cat can be divided into at most 1023 parts, got 1024\n"
+    assert out == "" and err == (
+        "qpercept: invalid input: the number of parts of the cat must be an integer in [1, 1023], got 1024\n"
+    )
 
 
 def test_epr_at_the_parts_bound_is_fast(capsys):
@@ -592,7 +594,7 @@ _VALUE_TOKENS = ["-1e-05", "-inf", "nan", "2.5", "abc", "-1", "3", "0.7"]
         (["flag", "--dim", "3", "--ranks", "2,2"], "ranks (2, 2) do not partition dim 3"),
         (["flag"], "missing required options: --dim, --ranks"),
         (["typicality", "--theta", "1"], "missing required options: --model"),
-        (["flag", "--dim", "1", "--ranks", "1", "--seed", "-1"], "the seed must be nonnegative, got -1"),
+        (["flag", "--dim", "1", "--ranks", "1", "--seed", "-1"], "the seed must be an integer >= 0, got -1"),
     ],
 )
 def test_usage_errors_print_one_line(argv, message, capsys):
@@ -640,7 +642,9 @@ def test_twostep_mc_above_sample_bound_exits_two_at_once(capsys):
     assert cli.main(["twostep", "--mc", "1000000001"]) == 2
     assert time.perf_counter() - start < 0.5  # refused before any sample is drawn
     out, err = capsys.readouterr()
-    assert out == "" and err == "qpercept: invalid input: need 1 to 1000000000 samples, got 1000000001\n"
+    assert out == "" and err == (
+        "qpercept: invalid input: the sample count must be an integer in [1, 1000000000], got 1000000001\n"
+    )
 
 
 def test_twostep_shards_option_is_gone(tmp_path, capsys):

@@ -3,6 +3,7 @@ in-range input returns finite values."""
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpercept import inference, toymodels
+from qpercept import inference, reproduce, toymodels
 from qpercept.errors import DimensionMismatch, QPerceptError, UnknownLabel, ValidationError
 from qpercept.hypotheses import (
     _SPEC_TYPES,
@@ -128,6 +129,21 @@ PUBLIC = {
     ),
     "triangle_equivalence": (
         lambda *a: toymodels.triangle_equivalence(*_directions(a)), 6, six_angles, lambda out: out.areas or []
+    ),
+    # 100 to 10^6 digit strings in three groups, expectations within a factor
+    # 100 of each other and exponents small enough that no power overflows
+    "digit_experiment": (
+        inference.digit_experiment, 7,
+        st.tuples(st.integers(2, 6), st.integers(1, 10), st.integers(1, 10), *[st.floats(0.1, 10.0)] * 3,
+                  st.floats(-5.0, 5.0)),
+        _scalar,
+    ),
+    "canonical_digit_experiment": (
+        inference.canonical_digit_experiment, 2,
+        st.tuples(st.integers(1, 10).map(lambda half: 2 * half), st.floats(-3.0, 3.0)), _scalar,
+    ),
+    "confidence_bound": (
+        inference.confidence_bound, 2, st.tuples(st.integers(1, 308), st.floats(0.01, 0.999)), _scalar
     ),
     # the two entries of the state vector
     "relative_state": (
@@ -251,27 +267,27 @@ SPECTRAL = SpectralExperience((((1.0, 0, 0),), ((1.0, 0, 1),)))
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: sample_decomposition(2, (1.5, 1.5), 0), "ranks must be a sequence of integers"),
+        (lambda: sample_decomposition(2, (1.5, 1.5), 0), "each rank must be an integer >= 1, got 1.5"),
         (lambda: sample_decomposition(2.0, (1, 1), 0), "dim must be an integer"),
         (lambda: sample_decomposition(True, (1,), 0), "dim must be an integer"),
         (lambda: sample_decomposition(2, 2, 0), "ranks must be a sequence of integers"),
-        (lambda: manifold_dimension(2, ("1", "1")), "ranks must be a sequence of integers"),
-        (lambda: manifold_dimension(2, (True, True)), "ranks must be a sequence of integers"),
-        (lambda: manifold_dimension(2, (3, -1)), "ranks must be positive integers"),
-        (lambda: ProjectorDecomposition(2, (1.0, 1.0), QUBIT_STEP.projectors), "ranks must be a sequence"),
-        (lambda: SpectralExperience((((0.5, 1.7, 0.2),),)), "indices must be a sequence of integers"),
+        (lambda: manifold_dimension(2, ("1", "1")), "each rank must be an integer >= 1, got '1'"),
+        (lambda: manifold_dimension(2, (True, True)), "each rank must be an integer >= 1, got True"),
+        (lambda: manifold_dimension(2, (3, -1)), "each rank must be an integer >= 1, got -1"),
+        (lambda: ProjectorDecomposition(2, (1.0, 1.0), QUBIT_STEP.projectors), "each rank must be an integer"),
+        (lambda: SpectralExperience((((0.5, 1.7, 0.2),),)), "a spectral term's index must be an integer, got 1.7"),
         (lambda: SpectralExperience(((0.5, 0, 0),)), r"\(coefficient, step, projector\) triples"),
         (lambda: SpectralExperience((((0.5, 0),),)), r"\(coefficient, step, projector\) triples"),
         (lambda: SpectralExperience((((-0.5, 0, 0),),)), "nonnegative and finite, got -0.5"),
         (lambda: SpectralExperience((((math.nan, 0, 0),),)), "nonnegative and finite, got nan"),
         (lambda: SpectralExperience((((math.inf, 0, 0),),)), "nonnegative and finite, got inf"),
         (lambda: SpectralExperience((((None, 0, 0),),)), "nonnegative and finite, got None"),
-        (lambda: SpectralExperience((((0.5, "0", 0),),)), "indices must be a sequence of integers"),
+        (lambda: SpectralExperience((((0.5, "0", 0),),)), "a spectral term's index must be an integer, got '0'"),
         (lambda: SpectralExperience(3), r"\(coefficient, step, projector\) triples"),
         (lambda: SpectralExperience((3,)), r"\(coefficient, step, projector\) triples"),
-        (lambda: FUNCTIONAL.atomic((0.9,), (0,)), r"a history must be a sequence of integers, got \(0.9,\)"),
+        (lambda: FUNCTIONAL.atomic((0.9,), (0,)), r"a history index must be an integer in \[0, 1\], got 0.9"),
         (lambda: FUNCTIONAL.atomic(0, (0,)), "a history must be a sequence of integers, got 0"),
-        (lambda: spectral_operator(SPECTRAL, [QUBIT_STEP], 0.5), "perception index 0.5 out of range"),
+        (lambda: spectral_operator(SPECTRAL, [QUBIT_STEP], 0.5), r"must be an integer in \[0, 1\], got 0.5"),
     ],
     ids=[
         "float_ranks",
@@ -340,7 +356,7 @@ def test_an_overflowing_posterior_density_is_a_computation_failure():
         lambda: inference.dual_posterior(2e154, 1.0),  # p * p is inf
         lambda: inference.dual_posterior_moment(1e-200, 1),  # p * p is 0
         lambda: inference.dual_posterior_moment(1.0, 171),  # I_343 is inf
-        lambda: inference.dual_posterior_moment(1.0, 1e300),
+        lambda: inference.dual_posterior_moment(1e-100, 2),  # (2 / p^2)^2 is inf
         lambda: inference.dual_posterior_moment(1.0, 10**400),  # no float holds the order
     ],
 )
@@ -357,7 +373,6 @@ def test_an_overflowing_dual_posterior_is_a_computation_failure(call):
         (1.0, 150),  # (301)!! / 151 is inf
         (1e-200, 1),  # p * p is 0
         (1e200, 1),  # p * p is inf
-        (1.0, 1e300),
         (1.0, 10**400),  # no float holds the order
     ],
 )
@@ -446,7 +461,7 @@ def test_json_decoders_raise_validation_errors_naming_the_key(decode, data, mess
         decode(data)
 
 
-@pytest.mark.parametrize("seed", [-3, -1, 1.5, "7", None])
+@pytest.mark.parametrize("seed", [-3, -1, 1.5, "7", None, True, 2.0])
 @pytest.mark.parametrize(
     "draw",
     [
@@ -454,12 +469,74 @@ def test_json_decoders_raise_validation_errors_naming_the_key(decode, data, mess
         lambda seed: haar_random_unitary(2, seed, size=3),
         lambda seed: sample_decomposition(2, (1, 1), seed),
         lambda seed: toymodels.linear_positivity_fraction(10, seed),
+        reproduce.sphere_checks,
     ],
 )
 def test_seeds_must_be_nonnegative_integers(draw, seed):
-    with pytest.raises(ValidationError, match=f"the seed must be a nonnegative integer, got {seed!r}"):
+    with pytest.raises(ValidationError, match=f"the seed must be an integer >= 0, got {seed!r}"):
         draw(seed)
     draw(np.int64(0))  # numpy integers are integers
+
+
+EPR = toymodels.epr_cat_model(0.0)
+QUBIT_JSON = QUBIT_STEP.to_json()
+
+# every integer parameter but the seeds: the call with that argument in place,
+# a valid value, and one just out of range (None where any integer is valid)
+INTEGER_PARAMETERS = {
+    "State.maximally_mixed": (State.maximally_mixed, 2, 0),
+    "identity": (identity, 2, 0),
+    "haar_random_unitary.dim": (lambda d: haar_random_unitary(d, 0), 2, 0),
+    "haar_random_unitary.size": (lambda s: haar_random_unitary(2, 0, size=s), 2, -1),
+    "manifold_dimension.dim": (lambda d: manifold_dimension(d, (2,)), 2, 0),
+    "manifold_dimension.ranks": (lambda r: manifold_dimension(2, (r,)), 2, 0),
+    "from_json.dim": (lambda d: ProjectorDecomposition.from_json({**QUBIT_JSON, "dim": d}), 2, 0),
+    "from_json.ranks": (lambda r: ProjectorDecomposition.from_json({**QUBIT_JSON, "ranks": [r, 1]}), 1, 0),
+    "SpectralExperience.terms": (lambda i: SpectralExperience((((1.0, i, 0),),)), 0, None),
+    "atomic.history": (lambda i: FUNCTIONAL.atomic((i,), (0,)), 1, 2),
+    "spectral_operator.perception": (lambda i: spectral_operator(SPECTRAL, [QUBIT_STEP], i), 1, 2),
+    "linear_positivity_fraction.samples": (lambda n: toymodels.linear_positivity_fraction(n, 0), 2, 0),
+    "unconfused_fraction_alternative.parts": (EPR.unconfused_fraction_alternative, 2, 0),
+    "posterior_moment.m": (lambda m: inference.posterior_moment(1.0, m), 2, -1),
+    "dual_posterior_moment.m": (lambda m: inference.dual_posterior_moment(1.0, m), 2, -1),
+    "digit_experiment.k": (lambda k: inference.digit_experiment(k, 1, 1, 1.0, 1.0, 1.0, 1.0), 2, 0),
+    "digit_experiment.n1": (lambda n: inference.digit_experiment(2, n, 1, 1.0, 1.0, 1.0, 1.0), 2, 0),
+    "digit_experiment.n2": (lambda n: inference.digit_experiment(2, 1, n, 1.0, 1.0, 1.0, 1.0), 2, 0),
+    "canonical_digit_experiment.k": (lambda k: inference.canonical_digit_experiment(k, 1.0), 2, 0),
+    "confidence_bound.k": (inference.confidence_bound, 2, 0),
+    "circle_grid_typicality.points": (lambda n: reproduce.circle_grid_typicality(1.0, 0.5, points=n), 3, 1),
+}
+_INTEGER_CASES = [
+    (name, value)
+    for name, (_, _, out_of_range) in INTEGER_PARAMETERS.items()
+    for value in [True, 2.5, 2.0, "2"] + ([] if out_of_range is None else [out_of_range])
+]
+
+
+@pytest.mark.parametrize("name, value", _INTEGER_CASES, ids=[f"{n}-{v!r}" for n, v in _INTEGER_CASES])
+def test_integer_parameters_reject_bools_floats_strings_and_out_of_range_values(name, value):
+    call, _, _ = INTEGER_PARAMETERS[name]
+    with pytest.raises(ValidationError, match=f"must be an integer.*, got {re.escape(repr(value))}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("name", INTEGER_PARAMETERS)
+def test_integer_parameters_take_numpy_integers(name):
+    call, valid, _ = INTEGER_PARAMETERS[name]
+    out = call(np.int64(valid))
+    if isinstance(out, float):
+        assert out == call(valid)
+
+
+def test_an_index_is_an_integer_and_any_other_value_a_label():
+    profile = _labeled_profile()
+    assert typicality(profile, np.int64(1)) == typicality(profile, 1) == typicality(profile, "b")
+    for index in (True, 3, -1):
+        with pytest.raises(ValidationError, match=rf"the index must be an integer in \[0, 2\], got {index!r}"):
+            typicality(profile, index)
+    for label in (2.0, "2"):
+        with pytest.raises(UnknownLabel):
+            typicality(profile, label)
 
 
 # every field of every spec variant holds one operator, or a sequence of them

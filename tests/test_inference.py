@@ -62,6 +62,19 @@ def test_power_law_model():
     assert custom.apply(1.5) == 2.5
 
 
+@pytest.mark.parametrize("m", [-1.0, -1e-300, math.nan, math.inf])
+def test_power_law_model_rejects_a_negative_or_non_finite_density(m):
+    for model in (PowerLawModel(exponent=0.5), PowerLawModel(transform=lambda x: x)):
+        with pytest.raises(ValidationError, match="the measure density must be"):
+            model.apply(m)
+
+
+@pytest.mark.parametrize("exponent, m", [(-1.0, 0.0), (2.0, 1e300)])
+def test_power_law_model_rejects_a_power_beyond_the_float_range(exponent, m):
+    with pytest.raises(ValidationError, match="transformed density must be finite"):
+        PowerLawModel(exponent=exponent).apply(m)
+
+
 def test_gaussian_typicality_values():
     assert gaussian_typicality(1.0, 0.0) == 1.0
     assert gaussian_typicality(-2.0, 1.3) == 0.0
@@ -406,6 +419,17 @@ def test_digit_experiment_validation():
         digit_experiment(2, 0, 20, 1.0, 1.0, 1.0, 1.0)
     with pytest.raises(ValidationError):
         digit_experiment(2, 1, 20, 0.0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", ["m1", "m2", "m3", "n"])
+def test_digit_experiment_rejects_non_finite_expectations_and_exponents(position, value):
+    args = {"m1": 1.0, "m2": 1.0, "m3": 1.0, "n": 1.0, position: value}
+    with pytest.raises(ValidationError, match="m1, m2, m3 and n must be finite"):
+        digit_experiment(4, 1, 1, **args)
+    if position == "n":
+        with pytest.raises(ValidationError, match="must be finite"):
+            canonical_digit_experiment(8, value)
 
 
 def test_confidence_bound_values():

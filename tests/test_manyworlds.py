@@ -353,7 +353,8 @@ def test_reconstruct_rejects_out_of_range_terms(rng, term, message):
 def test_spectral_operator_rejects_perception_out_of_range(perception):
     decs = [sample_decomposition(3, (1, 2), 0)]
     spectral = SpectralExperience(terms=(((0.5, 0, 0),), ((0.5, 0, 1),)))
-    with pytest.raises(ValidationError, match=f"perception index {perception} out of range"):
+    message = rf"the perception index must be an integer in \[0, 1\], got {perception}"
+    with pytest.raises(ValidationError, match=message):
         spectral_operator(spectral, decs, perception)
 
 
@@ -368,6 +369,16 @@ def test_spectral_operator_rejects_steps_of_different_dimensions():
     decs = [sample_decomposition(3, (1, 2), 0), sample_decomposition(2, (1, 1), 1)]
     with pytest.raises(DimensionMismatch, match="every step must have dimension 3"):
         spectral_operator(spectral, decs, 0)
+
+
+def test_projectors_of_another_dimension_are_a_dimension_mismatch():
+    # checked before the completeness test, whose sum would not broadcast
+    projectors = (Operator(np.eye(3)), Operator(np.zeros((3, 3))))
+    with pytest.raises(DimensionMismatch, match="every projector must have dimension 2"):
+        ProjectorDecomposition(2, (1, 1), projectors)
+    data = {"dim": 2, "ranks": [1, 1], "projectors": [p.to_json() for p in projectors]}
+    with pytest.raises(DimensionMismatch, match="every projector must have dimension 2"):
+        ProjectorDecomposition.from_json(data)
 
 
 def test_functional_pairs_match_the_triple_product_trace(rng):

@@ -1,5 +1,6 @@
 """One structural tolerance: every check compares against operators.TOL, and no
-public callable, method or dataclass field lets a caller choose another."""
+public callable, method or dataclass field lets a caller choose another.  One
+integer rule: errors.check_int is the only test of whether a value is an integer."""
 import ast
 import dataclasses
 import importlib
@@ -121,6 +122,57 @@ def test_the_scan_flags_a_bare_threshold_only():
 def test_every_threshold_is_tol_or_a_named_constant():
     src = pathlib.Path(qpercept.__file__).parent
     found = [f"{p.stem}:{line}" for p in sorted(src.glob("*.py")) for line in small_float_literals(p.read_text())]
+    assert found == []
+
+
+def _int_call(node) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "int" and node.args
+
+
+def integer_tests(source: str) -> list[int]:
+    """Lines that decide whether a value is an integer: a use of
+    numbers.Integral or np.integer, an isinstance or type test against int,
+    or a comparison of int(x) with x."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ("Integral", "integer"):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Name) and node.id == "Integral":
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            if any(isinstance(sub, ast.Name) and sub.id == "int" for sub in ast.walk(node.args[-1])):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            dumps = {ast.dump(o) for o in operands}
+            if any(isinstance(o, ast.Name) and o.id == "int" for o in operands) or any(
+                _int_call(o) and ast.dump(o.args[0]) in dumps for o in operands
+            ):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_the_integer_scan_flags_each_kind_of_integer_test():
+    source = (
+        "a = isinstance(x, numbers.Integral)\n"
+        "b = isinstance(x, (int, np.integer))\n"
+        "if k < 1 or int(k) != k:\n"
+        "    c = type(x) is int\n"
+        "d = isinstance(x, Integral)\n"
+        "e = int(x) + 1 == y or isinstance(x, float) or rng.integers(3)\n"
+    )
+    assert integer_tests(source) == [1, 2, 3, 4, 5]
+
+
+def test_check_int_is_the_only_integer_test():
+    # errors.py holds the rule; every other module calls errors.check_int
+    src = pathlib.Path(qpercept.__file__).parent
+    found = [
+        f"{p.stem}:{line}"
+        for p in sorted(src.glob("*.py"))
+        if p.name != "errors.py"
+        for line in integer_tests(p.read_text())
+    ]
     assert found == []
 
 

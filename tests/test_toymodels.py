@@ -302,7 +302,8 @@ def test_linear_positivity_deterministic():
 
 @pytest.mark.parametrize("samples", [0, -3, toymodels.MAX_SAMPLES + 1])
 def test_linear_positivity_rejects_sample_counts_out_of_range(samples):
-    with pytest.raises(ValidationError, match=f"need 1 to 1000000000 samples, got {samples}"):
+    message = rf"the sample count must be an integer in \[1, 1000000000\], got {samples}"
+    with pytest.raises(ValidationError, match=message):
         linear_positivity_fraction(samples, seed=9)
 
 
