@@ -1,11 +1,13 @@
 """Exception types shared across the package, the input checks they share,
 and the defaults and bounds the command line reads before it imports numpy.
 
-One rule decides what an integer argument is: a Python or numpy integer,
-never a bool and never a float, however integral its value.  `check_int`
-applies it, with the argument's range, to every integer parameter of the
-package (a seed, a dimension or rank, an index, a moment order, a digit or
-part count); a test scans the source for any other integer test.
+One rule decides what an integer argument is, and one what a real argument
+is.  `check_int` takes a Python or numpy integer, never a bool and never a
+float however integral; `check_real` takes a Python or numpy real number,
+never a bool, finite as a float (an int beyond the float range is not), and
+returns the float.  Each applies its range to every such parameter of the
+package, a strict bound being one more comparison on the returned float, and
+a test scans the source for any other integer or real-argument test.
 """
 import math
 import numbers
@@ -51,16 +53,6 @@ class UnknownLabel(QPerceptError, KeyError):
     too, so mapping-style callers keep working."""
 
 
-def check_finite(what: str, *values) -> None:
-    """Raise ValidationError unless every value is a finite real number.
-
-    Every int is finite, also one too large for a float.
-    """
-    for value in values:
-        if not (isinstance(value, int) or math.isfinite(value)):
-            raise ValidationError(f"{what} must be finite, got {value}")
-
-
 def check_int(what: str, value, lo: int | None, hi: int | None = None) -> int:
     """int(value) for an integer in [lo, hi] (None leaves that end open), or a
     ValidationError naming what and the value."""
@@ -70,6 +62,21 @@ def check_int(what: str, value, lo: int | None, hi: int | None = None) -> int:
         return int(value)
     need = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
     raise ValidationError(f"{what} must be an integer{need}, got {value!r}")
+
+
+def check_real(what: str, value, lo: float | None = None, hi: float | None = None) -> float:
+    """float(value) for a finite real number in [lo, hi] (None leaves that end
+    open), or a ValidationError naming what and the value."""
+    # a float, numpy's float64 included, skips the Real test, an ABC check
+    real = isinstance(value, float) or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    if math.isfinite(x) and (lo is None or lo <= x) and (hi is None or x <= hi):
+        return x
+    need = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
+    raise ValidationError(f"{what} must be a finite real number{need}, got {value!r}")
 
 
 def json_field(data, key: str, what: str):

@@ -21,7 +21,7 @@ from typing import Callable, ClassVar, Optional, Sequence, Union, get_args
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidExperience, UnknownLabel, ValidationError, json_field
+from .errors import DimensionMismatch, InvalidExperience, UnknownLabel, ValidationError, check_real, json_field
 from .operators import TOL, Operator, State, expectation, expectations, is_projector
 from .operators import negligible, pairwise_negligible
 
@@ -324,15 +324,15 @@ class ExperienceFamily:
     entries: tuple[tuple[str, ExperienceSpec, float], ...]
 
     def __post_init__(self):
-        entries = tuple((str(l), s, float(w)) for l, s, w in self.entries)
+        entries = tuple((str(l), s, check_real(f"the prior weight for {l!r}", w)) for l, s, w in self.entries)
         if len(entries) == 0:
             raise ValidationError("family must have at least one entry")
         labels = [l for l, _, _ in entries]
         if len(set(labels)) != len(labels):
             raise ValidationError("family labels must be unique")
         for label, _, w in entries:
-            if not (w > 0 and np.isfinite(w)):
-                raise ValidationError(f"prior weight for {label!r} must be positive and finite")
+            if w <= 0:
+                raise ValidationError(f"the prior weight for {label!r} must be positive, got {w!r}")
         object.__setattr__(self, "entries", entries)
 
     def __len__(self) -> int:

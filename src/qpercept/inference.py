@@ -12,14 +12,13 @@ as a test oracle.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import erf, erfc
 from typing import Callable, Optional
 
-from .errors import DegenerateInput, QPerceptError, ValidationError, ZeroMeasure, check_finite, check_int
+from .errors import DegenerateInput, QPerceptError, ValidationError, ZeroMeasure, check_int, check_real
 
 
 @dataclass(frozen=True)
@@ -33,10 +32,11 @@ class PowerLawModel:
     exponent: float = 1.0
     transform: Optional[Callable[[float], float]] = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "exponent", check_real("the exponent", self.exponent))
+
     def apply(self, m: float) -> float:
-        check_finite("the measure density", m)
-        if m < 0:
-            raise ValidationError(f"the measure density must be nonnegative, got {m}")
+        m = check_real("the measure density", m, 0)
         try:
             out = float(self.transform(m) if self.transform is not None else m**self.exponent)
         except (OverflowError, ZeroDivisionError):  # the value leaves the float range, or 0 meets a negative power
@@ -55,12 +55,10 @@ class Hypothesis:
     evaluator: Callable[[float], float]
 
     def __post_init__(self):
-        try:
-            ok = isinstance(self.prior, numbers.Real) and self.prior > 0 and math.isfinite(self.prior)
-        except OverflowError:  # an int beyond the float range
-            ok = False
-        if not ok:
-            raise ValidationError(f"prior for {self.id!r} must be positive and finite")
+        prior = check_real(f"the prior for {self.id!r}", self.prior)
+        if prior <= 0:
+            raise ValidationError(f"the prior for {self.id!r} must be positive, got {prior!r}")
+        object.__setattr__(self, "prior", prior)
 
 
 @dataclass(frozen=True)
@@ -83,24 +81,21 @@ def gaussian_typicality(n: float, p: float) -> float:
     Negative exponents make the density diverge in the tails, so the
     typicality is zero there; n = 0 is the constant-density limit.
     """
-    check_finite("n and p", n, p)
+    n, p = check_real("n", n), check_real("p", p)
     if n < 0:
         return 0.0
     return erfc(math.sqrt(n * p * p / 2))
 
 
 def gaussian_reversed(n: float, p: float) -> float:
-    check_finite("n and p", n, p)
+    n, p = check_real("n", n), check_real("p", p)
     if n < 0:
         return 1.0
     return erf(math.sqrt(n * p * p / 2))
 
 
 def gaussian_dual(n: float, p: float) -> float:
-    check_finite("n and p", n, p)
-    if n < 0:
-        return 0.0
-    t = gaussian_typicality(n, p)
+    t = gaussian_typicality(n, p)  # 0 for n < 0, and so is the dual
     return 1.0 - abs(1.0 - 2.0 * t)
 
 
@@ -110,7 +105,7 @@ def posterior_density(p: float, n: float) -> float:
     Uses a uniform prior in n; the ordinary typicality is the likelihood.
     Normalized over n in (0, inf) for any p != 0.
     """
-    check_finite("p and n", p, n)
+    p, n = check_real("p", p), check_real("n", n)
     if p == 0:
         raise DegenerateInput("p = 0 carries no information about the exponent")
     if n <= 0:
@@ -128,7 +123,7 @@ def posterior_moment(p: float, m: int) -> float:
     p^(2m) or the moment leaves the double range whatever p is: those orders
     fail at once, as does any p for which either leaves it.
     """
-    check_finite("p", p)
+    p = check_real("p", p)
     if p == 0:
         raise DegenerateInput("p = 0 carries no information about the exponent")
     m = check_int("the moment order", m, 0)
@@ -151,9 +146,9 @@ def averaged_posterior(n: float) -> float:
     the average of the normalized per-observation posteriors itself integrate
     to one.  The large-n tail is (4/(3 pi)) n^(-3/2), so all moments diverge.
     """
-    check_finite("n", n)
+    n = check_real("n", n)
     if n <= 0:
-        raise ValidationError("defined for positive exponents only")
+        raise ValidationError(f"n must be positive, got {n!r}")
     rn = math.sqrt(n)
     y = 1.0 / rn
     if y < 0.1:
@@ -219,9 +214,9 @@ def de_quad(f: Callable[[float], float], a: float, b: float = math.inf) -> tuple
     round onto a nonzero finite end, so f must be finite there: shift a
     singular end to 0.  A non-finite term raises a QPerceptError.
     """
-    check_finite("a", a)
+    a = check_real("a", a)
     if b != math.inf:
-        check_finite("b", b)
+        b = check_real("b", b)
 
     def term(t: float) -> float:
         u = math.pi / 2 * math.sinh(t)
@@ -264,7 +259,7 @@ def dual_normalization() -> tuple[float, float]:
 
 def dual_posterior(p: float, n: float) -> float:
     """Posterior over n with the dual typicality as the likelihood."""
-    check_finite("p and n", p, n)
+    p, n = check_real("p", p), check_real("n", n)
     if p == 0:
         raise DegenerateInput("p = 0 carries no information about the exponent")
     if n <= 0:
@@ -283,7 +278,7 @@ def dual_posterior_moment(p: float, m: int) -> float:
     I_(2m+1) exceeds the double range above m = 170, so higher orders fail at
     once, as does any p for which (2/p^2)^m leaves that range.
     """
-    check_finite("p", p)
+    p = check_real("p", p)
     if p == 0:
         raise DegenerateInput("p = 0 carries no information about the exponent")
     m = check_int("the moment order", m, 0)
@@ -301,20 +296,13 @@ def dual_posterior_moment(p: float, m: int) -> float:
 
 def bayes_update(hypotheses: HypothesisSet, observation) -> dict[str, float]:
     """Posterior weights prior * likelihood, normalized across the set."""
-    likelihoods = []
-    for h in hypotheses.entries:
-        value = h.evaluator(observation)
-        try:
-            lk = float(value)
-        except (TypeError, ValueError, OverflowError):  # not a number, or an int beyond the float range
-            lk = math.nan
-        if not (lk >= 0 and math.isfinite(lk)):
-            raise ValidationError(f"likelihood for {h.id!r} must be finite and nonnegative")
-        likelihoods.append(lk)
-    weights = [h.prior * lk for h, lk in zip(hypotheses.entries, likelihoods)]
+    lks = [check_real(f"the likelihood for {h.id!r}", h.evaluator(observation), 0) for h in hypotheses.entries]
+    weights = [h.prior * lk for h, lk in zip(hypotheses.entries, lks)]
     total = sum(weights)
     if total <= 0:
         raise ZeroMeasure("all hypotheses have zero likelihood; no update possible")
+    if not math.isfinite(total):  # a prior times a likelihood leaves the float range
+        raise QPerceptError("the posterior weights overflow")
     return {h.id: w / total for h, w in zip(hypotheses.entries, weights)}
 
 
@@ -354,12 +342,14 @@ def digit_experiment(k: int, n1: int, n2: int, m1: float, m2: float, m3: float, 
     n3 = total - n1 - n2
     if n3 < 0:
         raise ValidationError("n1 + n2 exceeds the number of digit strings")
-    check_finite("m1, m2, m3 and n", m1, m2, m3, n)
-    if min(m1, m2, m3) <= 0:
-        raise ValidationError("expectation values must be positive")
-    num = float(m2**n) * n2
-    den = float(m1**n) * n1 + num + (float(m3**n) * n3 if n3 > 0 else 0.0)
-    return num / den
+    *m, n = map(check_real, ("m1", "m2", "m3", "n"), (m1, m2, m3, n))
+    if min(m) <= 0:
+        raise ValidationError(f"an expectation value must be positive, got {min(m)!r}")
+    # powers of m over the largest m (the smallest for n < 0) of a nonempty group stay <= 1
+    groups = [(mi, size) for mi, size in zip(m, (n1, n2, n3)) if size > 0]
+    ref = (max if n >= 0 else min)(mi for mi, _ in groups)
+    terms = [(mi / ref) ** n * size for mi, size in groups]
+    return terms[1] / sum(terms)
 
 
 def canonical_digit_experiment(k: int, n: float) -> float:
@@ -380,8 +370,9 @@ def confidence_bound(k: int, level: float = 0.99) -> float:
     zero bound; the bound grows as the level approaches 1.
     """
     k = check_int("k", k, 1)
+    level = check_real("the level", level)
     if not 0 < level < 1:
-        raise ValidationError("level must be inside (0, 1)")
+        raise ValidationError(f"the level must be inside (0, 1), got {level!r}")
     threshold = 1.0 - level
 
     def prob(b: float) -> float:
@@ -404,8 +395,9 @@ def gaussian_99_band(dual_floor: float = 0.01) -> tuple[float, float]:
     erfc(x / sqrt(2)) = 1 - floor/2 (too close to the mean) and
     erfc(x / sqrt(2)) = floor/2 (too far).  Bisection to 1e-10.
     """
+    dual_floor = check_real("the dual floor", dual_floor)
     if not 0 < dual_floor < 1:
-        raise ValidationError("dual_floor must be inside (0, 1)")
+        raise ValidationError(f"the dual floor must be inside (0, 1), got {dual_floor!r}")
     # erfc(x / sqrt 2) is decreasing in x
     low = _bisect(lambda x: erfc(x / math.sqrt(2)) > 1.0 - dual_floor / 2, 0.0, 1.0, 1e-10)
     high = _bisect(lambda x: erfc(x / math.sqrt(2)) > dual_floor / 2, 1.0, 10.0, 1e-10)

@@ -9,13 +9,12 @@ seeded Monte Carlo with membership predicates.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError, check_int, json_field
+from .errors import DimensionMismatch, ValidationError, check_int, check_real, json_field
 from .operators import TOL, Operator, State, expectations, haar_random_unitary, negligible, pairwise_negligible
 
 
@@ -130,9 +129,12 @@ def family_metric(
     Returns an (n_points, k, k) array.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    steps = np.asarray(step_sizes, dtype=float)
-    if steps.shape != (pts.shape[1],) or np.any(steps <= 0):
-        raise ValidationError("one positive step per coordinate required")
+    steps = np.asarray(step_sizes, dtype=object)
+    if steps.shape != (pts.shape[1],):
+        raise ValidationError("one step per coordinate required")
+    steps = np.array([check_real("a step size", h) for h in steps])
+    if np.any(steps <= 0):
+        raise ValidationError(f"a step size must be positive, got {float(steps.min())!r}")
 
     def metric(h: np.ndarray) -> np.ndarray:
         derivs = []
@@ -142,7 +144,8 @@ def family_metric(
                 plus, minus = family(x + shift), family(x - shift)
                 if len(plus) != len(minus):
                     raise ValidationError("family must return a fixed number of operators")
-                rows.append([(p - m) / (2 * h[i]) for p, m in zip(plus, minus)])
+                with np.errstate(over="ignore", invalid="ignore"):  # a subnormal step; gram_metric rejects the inf
+                    rows.append([(p - m) / (2 * h[i]) for p, m in zip(plus, minus)])
             derivs.append(rows)
         try:
             stacked = np.array(derivs, dtype=complex)
@@ -255,9 +258,8 @@ class SpectralExperience:
 
 
 def _spectral_term(lam, d_idx, p_idx) -> tuple[float, int, int]:
-    if not (isinstance(lam, numbers.Real) and 0 <= lam < np.inf):
-        raise ValidationError(f"spectral coefficients must be nonnegative and finite, got {lam!r}")
-    return (float(lam), *(check_int("a spectral term's index", i, None) for i in (d_idx, p_idx)))
+    indices = (check_int("a spectral term's index", i, None) for i in (d_idx, p_idx))
+    return (check_real("a spectral coefficient", lam, 0), *indices)
 
 
 def spectral_operator(

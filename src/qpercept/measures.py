@@ -26,8 +26,8 @@ from .errors import (
     UnknownLabel,
     ValidationError,
     ZeroMeasure,
-    check_finite,
     check_int,
+    check_real,
 )
 from .hypotheses import ExperienceFamily, ExperienceSpec, realize, realize_stack
 from .manyworlds import gram_metric
@@ -100,7 +100,8 @@ class PerceptionSpace:
             if arr.ndim != 1 or len(arr) < 2:
                 raise ValidationError(f"axis {name!r} needs at least two points")
             # on an increasing axis finite ends make every value finite (NaN fails to increase)
-            check_finite(f"axis {name!r} ends", arr[0], arr[-1])
+            for end in (arr[0], arr[-1]):
+                check_real(f"an end of axis {name!r}", end)
             half = np.diff(arr)
             if not np.all(half > 0):
                 raise ValidationError(f"axis {name!r} must be strictly increasing")
@@ -247,7 +248,7 @@ def build_profile(
 def _selection_mask(profile: MeasureProfile, predicate) -> np.ndarray:
     if predicate is None:
         return np.ones(len(profile.space), dtype=bool)
-    if isinstance(predicate, np.ndarray):
+    if not callable(predicate):
         mask = np.asarray(predicate, dtype=bool)
         if mask.shape != (len(profile.space),):
             raise ValidationError("mask length must match the space")
@@ -264,7 +265,7 @@ def set_measure(profile: MeasureProfile, predicate=None) -> float:
     """Measure of the selected subset: sum of density times prior weight.
 
     predicate receives the label (discrete spaces) or the coordinate tuple
-    (grid spaces); a boolean mask is also accepted.  None selects everything.
+    (grid spaces); a boolean array or list also serves.  None selects everything.
     """
     mask = _selection_mask(profile, predicate)
     return float(np.sum(profile.point_measures[mask]))
@@ -315,7 +316,7 @@ def dual_typicality(profile: MeasureProfile, p) -> float:
 
 def typicality_of_density(profile: MeasureProfile, density_value: float) -> float:
     """Typicality evaluated at a density value rather than a stored point."""
-    check_finite("density value", density_value)
+    density_value = check_real("the density value", density_value)
     total = _check_total(profile)
     mask = profile.density <= density_value
     return float(np.sum(profile.point_measures[mask]) / total)

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError, check_finite, check_int, json_field
+from .errors import DimensionMismatch, ValidationError, check_int, check_real, json_field
 
 TOL = 1e-9
 
@@ -157,9 +157,8 @@ class ParamPositiveOp:
     z: float
 
     def __post_init__(self):
-        vals = (self.t, self.x, self.y, self.z)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValidationError("parameters must be finite")
+        for name in "txyz":
+            object.__setattr__(self, name, check_real(f"the parameter {name}", getattr(self, name)))
         r = math.sqrt(self.x**2 + self.y**2 + self.z**2)
         if self.t < r - TOL:
             raise ValidationError(f"t={self.t} violates t >= sqrt(x^2+y^2+z^2)={r}")
@@ -184,9 +183,8 @@ def expectation(state: State, op: Operator) -> complex:
 
 def check_bloch_angles(polar: float, azimuth: float) -> None:
     """Finite angles with the polar angle in [0, pi]."""
-    check_finite("angles", polar, azimuth)
-    if not 0.0 <= polar <= math.pi:
-        raise ValidationError("polar angle must lie in [0, pi]")
+    check_real("the polar angle", polar, 0.0, math.pi)
+    check_real("the azimuth", azimuth)
 
 
 def bloch_projector(polar: float, azimuth: float) -> Operator:

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BLOCK, MAX_PARTS, MAX_SAMPLES
-from .errors import DegenerateInput, DimensionMismatch, ValidationError, check_finite, check_int
+from .errors import DegenerateInput, DimensionMismatch, ValidationError, check_int, check_real
 from .hypotheses import ExperienceFamily, Explicit, ProjectionSequence
 from .measures import measure_density
 from .operators import (
@@ -64,7 +64,7 @@ class Direction:
 
 def _ball_r2(u: float, v: float, w: float) -> float:
     """u^2 + v^2 + w^2 of finite coordinates in the unit ball (within TOL)."""
-    check_finite("ball coordinates", u, v, w)
+    u, v, w = (check_real("a ball coordinate", c) for c in (u, v, w))
     r2 = u * u + v * v + w * w
     if r2 > 1.0 + TOL:
         raise ValidationError("ball coordinates must satisfy u^2+v^2+w^2 <= 1")
@@ -115,7 +115,7 @@ def circle_model(theta: float, phi: float) -> CircleResult:
 
     Requires sin(theta) > 0 so that the density varies around the circle.
     """
-    check_finite("angles", theta, phi)
+    theta, phi = check_real("theta", theta), check_real("phi", phi)
     if math.sin(theta) <= 0:
         raise DegenerateInput("circle model needs sin(theta) > 0")
     p = _principal(phi)
@@ -131,7 +131,7 @@ def circle_model(theta: float, phi: float) -> CircleResult:
 
 def circle_density_array(theta: float, phis: np.ndarray) -> np.ndarray:
     """Vectorized circle-model densities, for building grid profiles."""
-    check_finite("theta", theta)
+    theta = check_real("theta", theta)
     if math.sin(theta) <= 0:
         raise DegenerateInput("circle model needs sin(theta) > 0")
     # 0.5 * (1 + sin(theta) cos(phi)), one operation at a time in one array
@@ -157,7 +157,7 @@ def sphere_model(theta: float, vartheta: float, varphi: float) -> SphereResult:
     cold probability is the chance that a random perception falls on the
     0 < polar < pi/2 hemisphere.
     """
-    check_finite("angles", theta, vartheta, varphi)
+    theta, vartheta, varphi = map(check_real, ("theta", "vartheta", "varphi"), (theta, vartheta, varphi))
     cos_psi = math.cos(theta) * math.cos(vartheta) + math.sin(theta) * math.sin(
         vartheta
     ) * math.cos(varphi)
@@ -423,8 +423,7 @@ def _singlet() -> tuple[State, float, float]:
 
 def epr_cat_model(theta: float) -> EprCatReport:
     """Build the singlet experiment at detector angle theta and report measures."""
-    if not (0.0 <= theta <= math.pi):
-        raise ValidationError("theta must lie in [0, pi]")
+    theta = check_real("theta", theta, 0.0, math.pi)
     rho, mu_up_a, mu_down_a = _singlet()
     b_up = bloch_projector(theta, 0.0)
     b_down = identity(2) - b_up

@@ -29,6 +29,7 @@ from qpercept.manyworlds import (
     ReplicatedDecoherenceFunctional,
     SpectralExperience,
     density_at,
+    family_metric,
     manifold_dimension,
     sample_decomposition,
     spectral_operator,
@@ -43,7 +44,7 @@ from qpercept.measures import (
     typicality,
     typicality_of_density,
 )
-from qpercept.operators import Operator, State, bloch_projector, haar_random_unitary, identity
+from qpercept.operators import Operator, ParamPositiveOp, State, bloch_projector, haar_random_unitary, identity
 
 any_float = st.floats(allow_nan=True, allow_infinity=True)
 
@@ -86,6 +87,24 @@ def _two_step_values(rep):
 
 # positive definite, so no nonzero vector is annihilated
 RELATIVE_SPEC = Explicit(toymodels.ball_experience(0.1, 0.2, 0.3))
+
+
+def _sphere_family(x):
+    return [bloch_projector(float(x[0]), float(x[1])).mat]
+
+
+def _sphere_metric(*steps):
+    return family_metric(_sphere_family, [[1.0, 0.5]], steps)
+
+
+def _bayes_pair(prior, likelihood):
+    """bayes_update of hypothesis a, with the given prior and constant
+    likelihood, against b, with prior 1 and likelihood 1/2."""
+    hyps = inference.HypothesisSet(
+        (inference.Hypothesis("a", prior, lambda _: likelihood), inference.Hypothesis("b", 1.0, lambda _: 0.5))
+    )
+    return inference.bayes_update(hyps, None)
+
 
 # each function, its arity, a strategy for in-range argument tuples, and the
 # values of its result that must be finite
@@ -145,6 +164,17 @@ PUBLIC = {
     "confidence_bound": (
         inference.confidence_bound, 2, st.tuples(st.integers(1, 308), st.floats(0.01, 0.999)), _scalar
     ),
+    # the exponent, then the density
+    "PowerLawModel.apply": (
+        lambda n, m: inference.PowerLawModel(n).apply(m), 2,
+        st.tuples(st.floats(-3.0, 3.0), st.floats(0.01, 100.0)), _scalar,
+    ),
+    # the prior and the constant likelihood of one hypothesis of two
+    "bayes_update": (
+        _bayes_pair, 2, st.tuples(st.floats(0.01, 100.0), st.floats(0.0, 1.0)), lambda out: list(out.values())
+    ),
+    # the two step sizes of the sphere family's metric at one point
+    "family_metric": (_sphere_metric, 2, st.tuples(*[st.floats(1e-6, 1e-2)] * 2), lambda out: out),
     # the two entries of the state vector
     "relative_state": (
         lambda *psi: relative_state(RELATIVE_SPEC, psi), 2, st.tuples(st.floats(0.5, 10.0), moderate),
@@ -205,6 +235,8 @@ def test_raises_a_qpercept_error_or_returns_finite_values(name, data):
         lambda: inference.de_quad(math.exp, 0.0, -math.inf),
         lambda: relative_state(RELATIVE_SPEC, [math.nan, 1.0]),
         lambda: relative_state(RELATIVE_SPEC, [1.0, -math.inf]),
+        lambda: _sphere_metric(math.nan, 1e-4),
+        lambda: _sphere_metric(math.inf, math.inf),
     ],
 )
 def test_non_finite_and_out_of_range_inputs_are_validation_errors(call):
@@ -261,6 +293,7 @@ def test_qubit_operators_against_a_qutrit_state_are_a_dimension_mismatch(call):
 
 
 FUNCTIONAL = ReplicatedDecoherenceFunctional(State.maximally_mixed(2), [QUBIT_STEP])
+COEFFICIENT = "a spectral coefficient must be a finite real number >= 0"
 SPECTRAL = SpectralExperience((((1.0, 0, 0),), ((1.0, 0, 1),)))
 
 
@@ -278,10 +311,10 @@ SPECTRAL = SpectralExperience((((1.0, 0, 0),), ((1.0, 0, 1),)))
         (lambda: SpectralExperience((((0.5, 1.7, 0.2),),)), "a spectral term's index must be an integer, got 1.7"),
         (lambda: SpectralExperience(((0.5, 0, 0),)), r"\(coefficient, step, projector\) triples"),
         (lambda: SpectralExperience((((0.5, 0),),)), r"\(coefficient, step, projector\) triples"),
-        (lambda: SpectralExperience((((-0.5, 0, 0),),)), "nonnegative and finite, got -0.5"),
-        (lambda: SpectralExperience((((math.nan, 0, 0),),)), "nonnegative and finite, got nan"),
-        (lambda: SpectralExperience((((math.inf, 0, 0),),)), "nonnegative and finite, got inf"),
-        (lambda: SpectralExperience((((None, 0, 0),),)), "nonnegative and finite, got None"),
+        (lambda: SpectralExperience((((-0.5, 0, 0),),)), f"{COEFFICIENT}, got -0.5"),
+        (lambda: SpectralExperience((((math.nan, 0, 0),),)), f"{COEFFICIENT}, got nan"),
+        (lambda: SpectralExperience((((math.inf, 0, 0),),)), f"{COEFFICIENT}, got inf"),
+        (lambda: SpectralExperience((((None, 0, 0),),)), f"{COEFFICIENT}, got None"),
         (lambda: SpectralExperience((((0.5, "0", 0),),)), "a spectral term's index must be an integer, got '0'"),
         (lambda: SpectralExperience(3), r"\(coefficient, step, projector\) triples"),
         (lambda: SpectralExperience((3,)), r"\(coefficient, step, projector\) triples"),
@@ -539,6 +572,85 @@ def test_an_index_is_an_integer_and_any_other_value_a_label():
             typicality(profile, label)
 
 
+def _param_op(i, value):
+    """ParamPositiveOp with field i set to value, among t = 2 and x = y = z = 1/2."""
+    return ParamPositiveOp(*[value if j == i else 2.0 if j == 0 else 0.5 for j in range(4)])
+
+
+# every real parameter: the call with that argument in place, a valid value, and
+# one out of range (None where any finite real is valid)
+REAL_PARAMETERS = {
+    "PowerLawModel.exponent": (lambda n: inference.PowerLawModel(n).apply(2.0), 1.5, None),
+    "PowerLawModel.apply": (lambda m: inference.PowerLawModel(2.0).apply(m), 2.0, -1.0),
+    "Hypothesis.prior": (lambda w: _bayes_pair(w, 0.5)["a"], 2.0, 0.0),
+    "bayes_update.likelihood": (lambda lk: _bayes_pair(1.0, lk)["a"], 0.25, -0.5),
+    "gaussian_typicality.n": (lambda n: inference.gaussian_typicality(n, 1.0), 2.0, None),
+    "gaussian_typicality.p": (lambda p: inference.gaussian_typicality(1.0, p), 0.5, None),
+    "gaussian_reversed.n": (lambda n: inference.gaussian_reversed(n, 1.0), 2.0, None),
+    "gaussian_reversed.p": (lambda p: inference.gaussian_reversed(1.0, p), 0.5, None),
+    "gaussian_dual.n": (lambda n: inference.gaussian_dual(n, 1.0), 2.0, None),
+    "gaussian_dual.p": (lambda p: inference.gaussian_dual(1.0, p), 0.5, None),
+    "posterior_density.p": (lambda p: inference.posterior_density(p, 1.0), 0.5, None),
+    "posterior_density.n": (lambda n: inference.posterior_density(1.0, n), 2.0, None),
+    "posterior_moment.p": (lambda p: inference.posterior_moment(p, 2), 0.5, None),
+    "averaged_posterior.n": (inference.averaged_posterior, 2.0, 0.0),
+    "de_quad.a": (lambda a: inference.de_quad(lambda x: math.exp(-x * x), a)[0], 0.5, None),
+    # inf is valid here: it names the half-line [a, inf)
+    "de_quad.b": (lambda b: inference.de_quad(lambda x: math.exp(-x * x), 0.0, b)[0], 0.5, None),
+    "dual_posterior.p": (lambda p: inference.dual_posterior(p, 1.0), 0.5, None),
+    "dual_posterior.n": (lambda n: inference.dual_posterior(1.0, n), 2.0, None),
+    "dual_posterior_moment.p": (lambda p: inference.dual_posterior_moment(p, 2), 0.5, None),
+    "digit_experiment.m1": (lambda m: inference.digit_experiment(2, 1, 1, m, 1.0, 1.0, 1.0), 0.5, 0.0),
+    "digit_experiment.m2": (lambda m: inference.digit_experiment(2, 1, 1, 1.0, m, 1.0, 1.0), 0.5, 0.0),
+    "digit_experiment.m3": (lambda m: inference.digit_experiment(2, 1, 1, 1.0, 1.0, m, 1.0), 0.5, -1.0),
+    "digit_experiment.n": (lambda n: inference.digit_experiment(2, 1, 1, 1.0, 0.5, 1.0, n), 1.5, None),
+    "canonical_digit_experiment.n": (lambda n: inference.canonical_digit_experiment(8, n), 1.5, None),
+    "confidence_bound.level": (lambda level: inference.confidence_bound(8, level), 0.9, 1.0),
+    "gaussian_99_band.dual_floor": (lambda floor: inference.gaussian_99_band(floor)[1], 0.05, 0.0),
+    "typicality_of_density": (lambda v: typicality_of_density(CIRCLE, v), 0.5, None),
+    "State.from_bloch.polar": (lambda a: State.from_bloch(a, 0.5), 1.0, 4.0),
+    "State.from_bloch.azimuth": (lambda a: State.from_bloch(1.0, a), 0.5, None),
+    **{f"ParamPositiveOp.{name}": (lambda v, i=i: _param_op(i, v), 1.0, None) for i, name in enumerate("txyz")},
+    "Direction.polar": (lambda a: toymodels.Direction(a, 0.5), 1.0, -0.5),
+    "Direction.azimuth": (lambda a: toymodels.Direction(1.0, a), 0.5, None),
+    "ball_experience.u": (lambda u: toymodels.ball_experience(u, 0.0, 0.0), 0.5, None),
+    "ball_prior_weight.w": (lambda w: toymodels.ball_prior_weight(0.0, 0.0, w), 0.5, None),
+    "circle_model.theta": (lambda t: toymodels.circle_model(t, 0.5).typicality, 1.0, None),
+    "circle_model.phi": (lambda phi: toymodels.circle_model(1.0, phi).typicality, 0.5, None),
+    "circle_density_array.theta": (lambda t: toymodels.circle_density_array(t, PHIS), 1.0, None),
+    "sphere_model.theta": (lambda t: toymodels.sphere_model(t, 0.5, 0.5).typicality, 1.0, None),
+    "sphere_model.vartheta": (lambda t: toymodels.sphere_model(1.0, t, 0.5).typicality, 1.0, None),
+    "sphere_model.varphi": (lambda t: toymodels.sphere_model(1.0, 0.5, t).typicality, 1.0, None),
+    "epr_cat_model.theta": (lambda t: toymodels.epr_cat_model(t).mu_up_up, 1.0, 4.0),
+    "SpectralExperience.coefficient": (lambda c: SpectralExperience((((c, 0, 0),),)), 0.5, -0.5),
+    "family_metric.step": (lambda h: _sphere_metric(h, 1e-4), 1e-4, 0.0),
+    "ExperienceFamily.weight": (lambda w: ExperienceFamily((("a", Explicit(identity(2)), w),)).weights, 2.0, 0.0),
+}
+_REAL_CASES = [
+    (name, value)
+    for name, (_, _, out_of_range) in REAL_PARAMETERS.items()
+    for value in [True, "1", None, 10**400, math.nan, math.inf] + ([] if out_of_range is None else [out_of_range])
+    if not (name == "de_quad.b" and value == math.inf)
+]
+
+
+@pytest.mark.parametrize("name, value", _REAL_CASES, ids=[f"{n}-{v!r:.12}" for n, v in _REAL_CASES])
+def test_real_parameters_reject_bools_strings_overflowing_ints_non_finite_and_out_of_range_values(name, value):
+    call, _, _ = REAL_PARAMETERS[name]
+    with pytest.raises(ValidationError, match=f"must be .*, got {re.escape(repr(value))}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("name", REAL_PARAMETERS)
+def test_real_parameters_take_numpy_floats_and_integers(name):
+    call, valid, _ = REAL_PARAMETERS[name]
+    expected = call(valid)
+    for value in (np.float64(valid), np.float32(valid)) + ((np.int64(valid),) if valid == int(valid) else ()):
+        out = call(value)
+        if isinstance(out, (float, np.ndarray)) and float(value) == valid:
+            assert np.array_equal(out, expected)
+
+
 # every field of every spec variant holds one operator, or a sequence of them
 # (HistorySum: of chains); the identity fits each
 _ONE = {"dim": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
@@ -561,14 +673,27 @@ def test_wrong_typed_spec_fields_are_validation_errors(cls, name, bad):
             spec_from_json(data)
 
 
-@pytest.mark.parametrize("prior", [10**400, 0, -1.0, math.inf, math.nan, "1", None])
-def test_a_prior_outside_the_positive_floats_is_a_validation_error(prior):
-    with pytest.raises(ValidationError, match="prior for 'a' must be positive and finite"):
+@pytest.mark.parametrize(
+    "prior, tail",
+    [
+        (10**400, f"a finite real number, got {10**400!r}"),
+        (0, "positive, got 0.0"),  # the float the rule read
+        (-1.0, "positive, got -1.0"),
+        (math.inf, "a finite real number, got inf"),
+        (math.nan, "a finite real number, got nan"),
+        ("1", "a finite real number, got '1'"),
+        (None, "a finite real number, got None"),
+    ],
+    ids=["huge_int", "zero", "negative", "inf", "nan", "string", "None"],
+)
+def test_a_prior_outside_the_positive_floats_is_a_validation_error(prior, tail):
+    with pytest.raises(ValidationError, match=f"^the prior for 'a' must be {re.escape(tail)}$"):
         inference.Hypothesis("a", prior, lambda _: 0.5)
 
 
 @pytest.mark.parametrize("likelihood", [10**400, -0.5, math.inf, math.nan, "x", None])
 def test_a_likelihood_outside_the_nonnegative_floats_is_a_validation_error(likelihood):
     hyps = inference.HypothesisSet((inference.Hypothesis("a", 1.0, lambda _: likelihood),))
-    with pytest.raises(ValidationError, match="likelihood for 'a' must be finite and nonnegative"):
+    message = f"^the likelihood for 'a' must be a finite real number >= 0, got {re.escape(repr(likelihood))}$"
+    with pytest.raises(ValidationError, match=message):
         inference.bayes_update(hyps, None)

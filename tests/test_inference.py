@@ -425,11 +425,22 @@ def test_digit_experiment_validation():
 @pytest.mark.parametrize("position", ["m1", "m2", "m3", "n"])
 def test_digit_experiment_rejects_non_finite_expectations_and_exponents(position, value):
     args = {"m1": 1.0, "m2": 1.0, "m3": 1.0, "n": 1.0, position: value}
-    with pytest.raises(ValidationError, match="m1, m2, m3 and n must be finite"):
+    with pytest.raises(ValidationError, match=f"{position} must be a finite real number, got {value!r}"):
         digit_experiment(4, 1, 1, **args)
     if position == "n":
-        with pytest.raises(ValidationError, match="must be finite"):
+        with pytest.raises(ValidationError, match=f"n must be a finite real number, got {value!r}"):
             canonical_digit_experiment(8, value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: digit_experiment(2, 1, 1, 1e-300, 1.0, 1.0, -2.0),  # (1e-300)^-2 leaves the float range
+        lambda: canonical_digit_experiment(308, -10.0),  # (10^-308)^-10 leaves the float range
+    ],
+)
+def test_a_digit_experiment_whose_powers_leave_the_float_range_still_reads_a_probability(call):
+    assert call() == 0.0
 
 
 def test_confidence_bound_values():

@@ -153,6 +153,16 @@ def test_set_measure_additivity(rng):
     assert total == pytest.approx(prof.total_measure, rel=1e-10)
 
 
+def test_a_list_mask_selects_as_an_array_mask_does():
+    prof = profile_from_density(PerceptionSpace.discrete(["a", "b", "c"]), np.array([0.2, 0.3, 0.5]))
+    as_list, as_array = [True, False, True], np.array([True, False, True])
+    assert set_measure(prof, as_list) == set_measure(prof, as_array) == pytest.approx(0.7)
+    assert restricted_typicality(prof, "c", as_list) == restricted_typicality(prof, "c", as_array)
+    assert conditional_probability(prof, as_list, [False, False, True]) == pytest.approx(0.5 / 0.7)
+    with pytest.raises(ValidationError, match="mask length must match the space"):
+        set_measure(prof, [True, False])
+
+
 def test_ball_box_measure_stabilizes_under_refinement():
     # weighted measure of a box around the origin for the spin-up state
     def box_measure(n):

@@ -1,6 +1,7 @@
 """One structural tolerance: every check compares against operators.TOL, and no
 public callable, method or dataclass field lets a caller choose another.  One
-integer rule: errors.check_int is the only test of whether a value is an integer."""
+integer rule: errors.check_int is the only test of whether a value is an integer.
+One real rule: errors.check_real is the only test of a real-valued argument."""
 import ast
 import dataclasses
 import importlib
@@ -172,6 +173,97 @@ def test_check_int_is_the_only_integer_test():
         for p in sorted(src.glob("*.py"))
         if p.name != "errors.py"
         for line in integer_tests(p.read_text())
+    ]
+    assert found == []
+
+
+def _catches(handler, names) -> bool:
+    caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(isinstance(c, ast.Name) and c.id in names for c in caught)
+
+
+def real_argument_tests(source: str) -> list[int]:
+    """Lines that test a real argument outside the rule: a use of check_finite
+    or numbers.Real; a float() conversion guarded against TypeError or
+    ValueError; an isfinite test of a field self.x, of a loop variable, or of a
+    parameter that a public function never rebinds; or a chained range
+    comparison of such a field or parameter.  A check on a computed value (a
+    density, a moment, a report) is none of these, nor is a private helper's
+    test of what its caller has checked."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id in ("check_finite", "Real"):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in ("check_finite", "Real"):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Try) and any(_catches(h, ("TypeError", "ValueError")) for h in node.handlers):
+            if any(_callee(sub) == "float" for stmt in node.body for sub in ast.walk(stmt)):
+                lines.add(node.lineno)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stored = {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            public = not node.name.startswith("_") or node.name.endswith("__")
+            raw = {a.arg for a in node.args.args + node.args.kwonlyargs} - stored if public else set()
+            loops = {
+                n.id
+                for sub in ast.walk(node)
+                if isinstance(sub, (ast.For, ast.comprehension))
+                for n in ast.walk(sub.target)
+                if isinstance(n, ast.Name)
+            }
+
+            def argument(expr, names) -> bool:
+                if isinstance(expr, ast.Attribute):
+                    return isinstance(expr.value, ast.Name) and expr.value.id == "self"
+                return isinstance(expr, ast.Name) and expr.id in names
+
+            for sub in ast.walk(node):
+                if _callee(sub) == "isfinite" and sub.args and argument(sub.args[0], raw | loops):
+                    lines.add(sub.lineno)
+                elif isinstance(sub, ast.Compare) and len(sub.ops) > 1 and argument(sub.comparators[0], raw):
+                    lines.add(sub.lineno)
+    return sorted(lines)
+
+
+def _callee(node):
+    """The name a call calls, f or the attribute of x.f, or None."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "attr", getattr(node.func, "id", None))
+
+
+def test_the_real_scan_flags_each_kind_of_bespoke_test():
+    source = (
+        "def f(x, y, z, level, out):\n"
+        "    check_finite('x', x)\n"
+        "    ok = isinstance(y, numbers.Real) and math.isfinite(y)\n"
+        "    if not 0 < z < 1:\n"
+        "        pass\n"
+        "    try:\n"
+        "        v = float(out)\n"
+        "    except (TypeError, OverflowError):\n"
+        "        v = 0.0\n"
+        "    ok = all(np.isfinite(w) for w in (x, y)) and math.isfinite(self.t)\n"
+        "    level = check_real('level', level)\n"
+        "    out = x * y\n"
+        "    return math.isfinite(out) and 0 < level < 1 and math.isfinite(v)\n"
+        "def _helper(i, xs):\n"
+        "    return 0 <= i < len(xs) and all(0 < x < 1 for x in xs)\n"
+        "try:\n"
+        "    r = float(s) ** 2\n"
+        "except OverflowError:\n"
+        "    r = math.inf\n"
+    )
+    assert real_argument_tests(source) == [2, 3, 4, 6, 10]
+
+
+def test_check_real_is_the_only_real_argument_test():
+    # errors.py holds the rule; the command line tests parsed options and the
+    # report, whose values are results
+    src = pathlib.Path(qpercept.__file__).parent
+    found = [
+        f"{p.stem}:{line}"
+        for p in sorted(src.glob("*.py"))
+        if p.name not in ("errors.py", "cli.py")
+        for line in real_argument_tests(p.read_text())
     ]
     assert found == []
 

@@ -68,7 +68,7 @@ def test_ball_model_rejects_outside_ball():
         ball_experience(0.8, 0.8, 0.8)
     with pytest.raises(ValidationError):
         ball_prior_weight(1.2, 0.0, 0.0)
-    with pytest.raises(ValidationError, match="ball coordinates must be finite"):
+    with pytest.raises(ValidationError, match="a ball coordinate must be a finite real number, got nan"):
         ball_experience(0.0, math.nan, 0.0)
 
 
