@@ -16,21 +16,16 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import erf, erfc
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import DegenerateInput, QPerceptError, ValidationError, ZeroMeasure, check_int, check_real
 
 
 @dataclass(frozen=True)
 class PowerLawModel:
-    """Measure-density transform m -> m**n; only the power law is built in.
-
-    A caller-supplied scalar transform may replace the power law through
-    `transform`; it must map nonnegative reals to nonnegative reals.
-    """
+    """Measure-density transform m -> m**n, the power law."""
 
     exponent: float = 1.0
-    transform: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "exponent", check_real("the exponent", self.exponent))
@@ -38,12 +33,9 @@ class PowerLawModel:
     def apply(self, m: float) -> float:
         m = check_real("the measure density", m, 0)
         try:
-            out = float(self.transform(m) if self.transform is not None else m**self.exponent)
+            return m**self.exponent  # nonnegative, since m is
         except (OverflowError, ZeroDivisionError):  # the value leaves the float range, or 0 meets a negative power
-            out = math.inf
-        if out < 0 or not math.isfinite(out):
-            raise ValidationError("transformed density must be finite and nonnegative")
-        return out
+            raise ValidationError("transformed density must be finite") from None
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationError, check_int, check_real, json_field
-from .operators import TOL, Operator, State, expectations, haar_random_unitary, negligible, pairwise_negligible
+from .operators import TOL, Operator, State, check_array, expectations, haar_random_unitary
+from .operators import negligible, pairwise_negligible
 
 
 @dataclass(frozen=True)
@@ -107,10 +108,8 @@ def gram_metric(derivs: np.ndarray) -> np.ndarray:
     derivs has shape (N, k, ...), the family's derivatives along k coordinates;
     trailing axes (operator index, matrix entries) are summed over.
     """
-    d = np.asarray(derivs, dtype=complex)
+    d = check_array("the family's derivatives", derivs, dtype=complex)
     d = d.reshape(d.shape[0], d.shape[1], -1)
-    if not np.all(np.isfinite(d)):
-        raise ValidationError("family produced non-finite values")
     return np.matmul(d.conj(), d.transpose(0, 2, 1)).real
 
 
@@ -128,9 +127,9 @@ def family_metric(
     repeats at half steps and rejects families whose metric has not converged.
     Returns an (n_points, k, k) array.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    steps = np.asarray(step_sizes, dtype=object)
-    if steps.shape != (pts.shape[1],):
+    pts = np.atleast_2d(check_array("the points", points))
+    steps = tuple(step_sizes) if np.iterable(step_sizes) else ()
+    if len(steps) != pts.shape[1]:
         raise ValidationError("one step per coordinate required")
     steps = np.array([check_real("a step size", h) for h in steps])
     if np.any(steps <= 0):
@@ -147,11 +146,7 @@ def family_metric(
                 with np.errstate(over="ignore", invalid="ignore"):  # a subnormal step; gram_metric rejects the inf
                     rows.append([(p - m) / (2 * h[i]) for p, m in zip(plus, minus)])
             derivs.append(rows)
-        try:
-            stacked = np.array(derivs, dtype=complex)
-        except ValueError as exc:
-            raise ValidationError("family must return equally shaped operators throughout") from exc
-        return gram_metric(stacked)
+        return gram_metric(derivs)
 
     out = metric(steps)
     if check_step:

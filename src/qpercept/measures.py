@@ -31,7 +31,7 @@ from .errors import (
 )
 from .hypotheses import ExperienceFamily, ExperienceSpec, realize, realize_stack
 from .manyworlds import gram_metric
-from .operators import TOL, State, expectations
+from .operators import TOL, State, check_array, expectations
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,9 @@ class PerceptionSpace:
     axes: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or len(w) == 0:
-            raise ValidationError("weights must be a nonempty one-dimensional array")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0):
-            raise ValidationError("prior weights must be positive and finite")
+        w = check_array("the prior weights", self.weights, 1)
+        if len(w) == 0 or np.any(w <= 0):
+            raise ValidationError("prior weights must be a nonempty array of positive values")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         if self.labels is not None:
@@ -64,8 +62,8 @@ class PerceptionSpace:
             if len(self._label_index) != len(labels):
                 raise ValidationError("labels must be unique")
         if self.points is not None:
-            pts = np.asarray(self.points, dtype=float)
-            if pts.ndim != 2 or pts.shape[0] != len(w):
+            pts = check_array("the grid points", self.points, 2)
+            if pts.shape[0] != len(w):
                 raise ValidationError("points must be an (N, k) array aligned with weights")
             pts.setflags(write=False)
             object.__setattr__(self, "points", pts)
@@ -93,15 +91,11 @@ class PerceptionSpace:
         prior_density, if given, is evaluated vectorized on the coordinate
         columns and multiplies the quadrature weights.
         """
-        names = tuple(axes.keys())
-        arrays = [np.asarray(a, dtype=float) for a in axes.values()]
+        arrays = [check_array(f"axis {name!r}", a, 1) for name, a in axes.items()]
         axis_weights = []
-        for name, arr in zip(names, arrays):
-            if arr.ndim != 1 or len(arr) < 2:
+        for name, arr in zip(axes, arrays):
+            if len(arr) < 2:
                 raise ValidationError(f"axis {name!r} needs at least two points")
-            # on an increasing axis finite ends make every value finite (NaN fails to increase)
-            for end in (arr[0], arr[-1]):
-                check_real(f"an end of axis {name!r}", end)
             half = np.diff(arr)
             if not np.all(half > 0):
                 raise ValidationError(f"axis {name!r} must be strictly increasing")
@@ -115,13 +109,13 @@ class PerceptionSpace:
         pts = np.stack(np.meshgrid(*arrays, indexing="ij", copy=False), axis=-1).reshape(-1, len(arrays))
         weights = reduce(np.multiply.outer, axis_weights).reshape(-1)
         if prior_density is not None:
-            dens = np.asarray(prior_density(*[pts[:, i] for i in range(pts.shape[1])]), dtype=float)
+            dens = check_array("the prior density", prior_density(*[pts[:, i] for i in range(pts.shape[1])]))
             if dens.shape != (pts.shape[0],):
                 raise ValidationError("prior_density must return one value per point")
-            if np.any(dens <= 0) or not np.all(np.isfinite(dens)):
-                raise ValidationError("prior density must be positive and finite")
+            if np.any(dens <= 0):
+                raise ValidationError("prior density must be positive")
             weights = weights * dens
-        return cls(weights=weights, points=pts, axes=names)
+        return cls(weights=weights, points=pts, axes=tuple(axes))
 
     @cached_property
     def _label_index(self) -> dict[str, int]:
@@ -144,11 +138,9 @@ class MeasureProfile:
     density: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.density, dtype=float)
+        m = check_array("the density", self.density)
         if m.shape != (len(self.space),):
             raise ValidationError("density must have one value per point")
-        if not np.all(np.isfinite(m)):
-            raise ValidationError("density values must be finite")
         if np.any(m < 0):
             raise ValidationError("density values must be nonnegative")
         m.setflags(write=False)
@@ -194,7 +186,7 @@ class MeasureProfile:
 
 def profile_from_density(space: PerceptionSpace, density) -> MeasureProfile:
     """Build a profile from raw density values, clamping negatives within TOL to 0."""
-    raw = np.asarray(density, dtype=float)
+    raw = check_array("the density", density)
     if np.any(raw < -TOL):
         raise InvalidExperience("density below -TOL")
     return MeasureProfile(space=space, density=np.clip(raw, 0.0, None))
@@ -383,12 +375,10 @@ def _riemannian_weights(stack: np.ndarray, space: PerceptionSpace) -> np.ndarray
 
 def relative_state(spec: ExperienceSpec, pure_state) -> np.ndarray:
     """Normalized E|psi>; errors out when the perception has no support on psi."""
-    psi = np.asarray(pure_state, dtype=complex).reshape(-1)
+    psi = check_array("the state vector", pure_state, dtype=complex).reshape(-1)
     op = realize(spec)
     if op.dim != psi.shape[0]:
         raise DimensionMismatch("operator and state vector dims differ")
-    if not np.isfinite(psi).all():
-        raise ValidationError("state vector entries must be finite")
     with np.errstate(over="ignore", invalid="ignore"):  # |E psi|^2 overflows above about 1e154
         out = op.mat @ psi
         norm = float(np.linalg.norm(out))

@@ -3,12 +3,14 @@
 Operators and states are immutable wrappers around complex matrices.  Every
 measure in the package is an expectation Tr(state E) from one kernel,
 `expectations`, which takes an (N, d, d) stack of operators and checks the
-dimensions once; `expectation` is its batch of one.  All arithmetic is double
-precision.  Every structural check compares against one absolute tolerance,
-TOL, on unit-scale matrices; a matrix check goes through the max-norm
-predicate `negligible`.  The only other thresholds are two named rounding
-slacks, toymodels.LINPOS_SLACK and inference.DE_QUAD_RTOL.  Random sampling
-takes an explicit nonnegative integer seed and never shares generator state.
+dimensions once; `expectation` is its batch of one.  Every array argument of
+the package goes through one rule, `check_array`, into a finite float or
+complex array.  All arithmetic is double precision.  Every structural check
+compares against one absolute tolerance, TOL, on unit-scale matrices; a matrix
+check goes through the max-norm predicate `negligible`.  The only other
+thresholds are two named rounding slacks, toymodels.LINPOS_SLACK and
+inference.DE_QUAD_RTOL.  Random sampling takes an explicit nonnegative integer
+seed and never shares generator state.
 """
 from __future__ import annotations
 
@@ -34,12 +36,32 @@ def pairwise_negligible(mats: Sequence[np.ndarray], pair: Callable) -> bool:
     return all(negligible(pair(a, b)) for a, b in itertools.combinations(mats, 2))
 
 
+def check_array(what: str, value, ndim: int | None = None, dtype=float) -> np.ndarray:
+    """value as a finite float (or complex) array of ndim axes, or a
+    ValidationError naming what.  A numeric array is checked in one pass, and a
+    float64 (complex128) one comes back uncopied; bools, strings and ints beyond
+    int64 go entry by entry, as given, through errors.check_real."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged list
+        raise ValidationError(f"{what} must be an array of numbers of one shape") from None
+    numeric = arr.dtype.kind in ("iufc" if dtype is complex else "iuf")
+    arr = arr.astype(dtype, copy=False) if numeric else arr
+    if not (numeric and np.isfinite(arr).all()):
+        entries = np.asarray(value, dtype=object)
+        for entry in entries.flat:
+            for part in (entry.real, entry.imag) if dtype is complex and isinstance(entry, complex) else (entry,):
+                check_real(f"each entry of {what}", part)
+        arr = entries.astype(dtype)
+    if ndim is not None and arr.ndim != ndim:
+        raise ValidationError(f"{what} must be a {ndim}-dimensional array, got shape {arr.shape}")
+    return arr
+
+
 def _as_square_complex(entries) -> np.ndarray:
-    mat = np.asarray(entries, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
+    mat = check_array("the matrix", entries, 2, complex)
+    if mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
         raise ValidationError(f"expected a square matrix, got shape {mat.shape}")
-    if not np.isfinite(mat).all():
-        raise ValidationError("matrix entries must be finite")
     mat.setflags(write=False)
     return mat
 
@@ -88,10 +110,7 @@ class Operator:
     @classmethod
     def from_json(cls, data: dict) -> "Operator":
         re, im, dim = (json_field(data, key, "operator") for key in ("re", "im", "dim"))
-        try:
-            re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
-        except (TypeError, ValueError):
-            raise ValidationError("operator re/im blocks must be arrays of numbers") from None
+        re, im = check_array("operator field 're'", re, 2), check_array("operator field 'im'", im, 2)
         if re.shape != im.shape or re.shape != (dim, dim):
             raise ValidationError("re/im blocks do not match the declared dim")
         return cls(re + 1j * im)
@@ -119,7 +138,7 @@ class State:
 
     @classmethod
     def pure(cls, vector) -> "State":
-        v = np.asarray(vector, dtype=complex).reshape(-1)
+        v = check_array("the state vector", vector, dtype=complex).reshape(-1)
         norm = np.linalg.norm(v)
         if norm <= 0 or not np.isfinite(norm):
             raise ValidationError("pure state vector must have positive finite norm")
@@ -189,6 +208,7 @@ def check_bloch_angles(polar: float, azimuth: float) -> None:
 
 def bloch_projector(polar: float, azimuth: float) -> Operator:
     """Rank-one projector onto the spin-half state along (polar, azimuth)."""
+    polar, azimuth = check_real("the polar angle", polar), check_real("the azimuth", azimuth)
     c, s = math.cos(polar), math.sin(polar)
     phase = complex(math.cos(azimuth), math.sin(azimuth))
     return Operator(0.5 * np.array([[1 + c, s * phase], [s * phase.conjugate(), 1 - c]]))
@@ -197,6 +217,7 @@ def bloch_projector(polar: float, azimuth: float) -> Operator:
 def bloch_vector(polar: float, azimuth: float) -> tuple[float, float, float]:
     """Bloch vector Tr(P sigma_i) of P = bloch_projector(polar, azimuth), whose
     entry P[0, 1] = sin(polar) e^(i azimuth) / 2 makes y = -sin(polar) sin(azimuth)."""
+    polar, azimuth = check_real("the polar angle", polar), check_real("the azimuth", azimuth)
     s = math.sin(polar)
     return (s * math.cos(azimuth), -s * math.sin(azimuth), math.cos(polar))
 

@@ -35,6 +35,7 @@ from .operators import (
     TOL,
     bloch_projector,
     bloch_vector,
+    check_array,
     check_bloch_angles,
     expectations,
     from_params,
@@ -135,7 +136,7 @@ def circle_density_array(theta: float, phis: np.ndarray) -> np.ndarray:
     if math.sin(theta) <= 0:
         raise DegenerateInput("circle model needs sin(theta) > 0")
     # 0.5 * (1 + sin(theta) cos(phi)), one operation at a time in one array
-    out = np.cos(phis)
+    out = np.cos(check_array("the angles", phis))
     out *= math.sin(theta)
     out += 1.0
     out *= 0.5

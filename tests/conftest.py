@@ -1,4 +1,6 @@
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,17 @@ from hypothesis import settings
 from qpercept import toymodels
 from qpercept.hypotheses import realize
 from qpercept.operators import Operator, State, expectation, haar_random_unitary
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def subprocess_env() -> dict:
+    """The environment for a fresh interpreter: qpercept from src/, and no seed."""
+    env = dict(os.environ)
+    env.pop("QPERCEPT_SEED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    return env
+
 
 # a failure the randomized search finds prints a @reproduce_failure blob that replays it
 settings.register_profile("qpercept", print_blob=True)

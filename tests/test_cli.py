@@ -4,32 +4,23 @@ import csv
 import io
 import json
 import math
-import os
 import re
 import subprocess
 import sys
 import time
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import REPO, subprocess_env
 from qpercept import cli, inference, toymodels
 from qpercept.errors import ValidationError
 
 jsonschema = pytest.importorskip("jsonschema")
 
-REPO = Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((REPO / "schemas" / "cli_output.schema.json").read_text())
-
-
-def _subprocess_env():
-    env = dict(os.environ)
-    env.pop("QPERCEPT_SEED", None)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
-    return env
 
 
 def run_cli_subprocess(*args, check=True):
@@ -38,7 +29,7 @@ def run_cli_subprocess(*args, check=True):
         [sys.executable, "-m", "qpercept.cli", *args],
         capture_output=True,
         text=True,
-        env=_subprocess_env(),
+        env=subprocess_env(),
     )
     if check and proc.returncode not in (0, 1):
         raise AssertionError(f"exit {proc.returncode}: {proc.stderr}")
@@ -483,7 +474,7 @@ def test_cold_cli_never_imports_scipy():
         "assert 'scipy' not in sys.modules, 'reproduce'\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=_subprocess_env()
+        [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env()
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["results"]["dual_mean"] == pytest.approx(
@@ -522,7 +513,7 @@ def test_cold_sqmn_never_imports_numpy():
         "assert 'numpy' in sys.modules, 'epr'\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=_subprocess_env()
+        [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env()
     )
     assert proc.returncode == 0, proc.stderr
 
@@ -546,7 +537,7 @@ def test_package_names_resolve_on_first_use():
         "    raise AssertionError('qpercept.operator resolved')\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=_subprocess_env()
+        [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env()
     )
     assert proc.returncode == 0, proc.stderr
 

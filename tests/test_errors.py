@@ -15,11 +15,15 @@ from qpercept import inference, reproduce, toymodels
 from qpercept.errors import DimensionMismatch, QPerceptError, UnknownLabel, ValidationError
 from qpercept.hypotheses import (
     _SPEC_TYPES,
+    ConstrainedProjector,
     ExperienceFamily,
     Explicit,
+    HistorySum,
     LinearlyPositive,
+    ProductProjector,
     ProjectionSequence,
     Projector,
+    SymmetrizedProjector,
     decoherence_report,
     realize,
     spec_from_json,
@@ -30,11 +34,13 @@ from qpercept.manyworlds import (
     SpectralExperience,
     density_at,
     family_metric,
+    gram_metric,
     manifold_dimension,
     sample_decomposition,
     spectral_operator,
 )
 from qpercept.measures import (
+    MeasureProfile,
     PerceptionSpace,
     overlap_fraction,
     prior_measure,
@@ -44,7 +50,15 @@ from qpercept.measures import (
     typicality,
     typicality_of_density,
 )
-from qpercept.operators import Operator, ParamPositiveOp, State, bloch_projector, haar_random_unitary, identity
+from qpercept.operators import (
+    Operator,
+    ParamPositiveOp,
+    State,
+    bloch_projector,
+    haar_random_unitary,
+    identity,
+    tensor_product,
+)
 
 any_float = st.floats(allow_nan=True, allow_infinity=True)
 
@@ -106,9 +120,51 @@ def _bayes_pair(prior, likelihood):
     return inference.bayes_update(hyps, None)
 
 
+QUBIT_MIXED = State.maximally_mixed(2)
+SIGMA_Z = Operator(np.diag([1.0, -1.0]))
+
+
+def _realizer(build):
+    """realize, in the maximally mixed qubit state, the spec that build makes
+    of the Bloch projectors along each drawn (polar, azimuth) pair."""
+
+    def run(*angles):
+        return realize(build(*[bloch_projector(*angles[i : i + 2]) for i in range(0, len(angles), 2)]), QUBIT_MIXED)
+
+    return run
+
+
+def _matrix(op):
+    return op.mat.view(float)
+
+
+# every spec variant; the product's components act on two qubits, so they commute
+REALIZERS = {
+    "Explicit": (Explicit, 2),
+    "Projector": (Projector, 2),
+    "ConstrainedProjector": (ConstrainedProjector, 4),
+    "SymmetrizedProjector": (lambda p: SymmetrizedProjector(p, (identity(2), SIGMA_Z)), 2),
+    "ProductProjector": (
+        lambda p, q: ProductProjector((tensor_product(p, identity(2)), tensor_product(identity(2), q))), 4
+    ),
+    "ProjectionSequence": (lambda p, q: ProjectionSequence((p, q)), 4),
+    "HistorySum": (lambda p, q: HistorySum(((p, q), (q, p))), 4),
+    # <Re PQ> = |<p|q>|^2 / 2 in the mixed state, never negative
+    "LinearlyPositive": (lambda p, q: LinearlyPositive(p @ q), 4),
+}
+
 # each function, its arity, a strategy for in-range argument tuples, and the
 # values of its result that must be finite
 PUBLIC = {
+    **{
+        f"realize.{name}": (_realizer(build), arity, st.tuples(*[finite] * arity), _matrix)
+        for name, (build, arity) in REALIZERS.items()
+    },
+    # the two prior weights of a two-point space
+    "PerceptionSpace.discrete": (
+        lambda *w: PerceptionSpace.discrete(["a", "b"], w), 2, st.tuples(*[st.floats(0.01, 100.0)] * 2),
+        lambda out: out.weights,
+    ),
     "posterior_moment": (inference.posterior_moment, 2, st.tuples(nonzero_p, order), _scalar),
     "typicality_of_density": (
         lambda v: typicality_of_density(CIRCLE, v), 1, st.tuples(st.floats(-1.0, 2.0)), _scalar
@@ -131,8 +187,8 @@ PUBLIC = {
     ),
     "sphere_model": (toymodels.sphere_model, 3, st.tuples(moderate, moderate, moderate), dataclasses.astuple),
     "ball_prior_weight": (toymodels.ball_prior_weight, 3, in_ball, _scalar),
-    "ball_experience": (toymodels.ball_experience, 3, in_ball, lambda out: out.mat.view(float)),
-    "from_bloch": (State.from_bloch, 2, st.tuples(polar, finite), lambda out: out.mat.view(float)),
+    "ball_experience": (toymodels.ball_experience, 3, in_ball, _matrix),
+    "from_bloch": (State.from_bloch, 2, st.tuples(polar, finite), _matrix),
     "averaged_posterior": (
         inference.averaged_posterior, 1,
         st.tuples(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)), _scalar,
@@ -451,7 +507,8 @@ def test_grid_spaces_have_no_labels(label):
 def test_a_non_finite_state_vector_is_rejected_before_any_arithmetic():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValidationError, match="state vector entries must be finite"):
+        message = "^each entry of the state vector must be a finite real number, got nan$"
+        with pytest.raises(ValidationError, match=message):
             relative_state(RELATIVE_SPEC, [math.nan, 1.0])
 
 
@@ -476,8 +533,14 @@ _OP = {"dim": 1, "re": [[1.0]], "im": [[0.0]]}
         (spec_from_json, {"variant": "explicit", "op": {}}, "operator JSON has no key 're'"),
         (Operator.from_json, {}, "operator JSON has no key 're'"),
         (Operator.from_json, {"re": [[1.0]], "im": [[0.0]]}, "operator JSON has no key 'dim'"),
-        (Operator.from_json, {**_OP, "re": [["a"]]}, "arrays of numbers"),
-        (Operator.from_json, {**_OP, "re": [[1.0], [2.0, 3.0]]}, "arrays of numbers"),
+        (
+            Operator.from_json, {**_OP, "re": [["a"]]},
+            "^each entry of operator field 're' must be a finite real number, got 'a'$",
+        ),
+        (
+            Operator.from_json, {**_OP, "re": [[1.0], [2.0, 3.0]]},
+            "^operator field 're' must be an array of numbers of one shape$",
+        ),
         (State.from_json, {}, "operator JSON has no key 're'"),
         (ProjectorDecomposition.from_json, {}, "decomposition JSON has no key 'dim'"),
         (ProjectorDecomposition.from_json, {"dim": 1, "ranks": [1]}, "decomposition JSON has no key 'projectors'"),
@@ -649,6 +712,83 @@ def test_real_parameters_take_numpy_floats_and_integers(name):
         out = call(value)
         if isinstance(out, (float, np.ndarray)) and float(value) == valid:
             assert np.array_equal(out, expected)
+
+
+def _all_entries(valid, entry):
+    """valid, a list nested for each axis, with every entry replaced."""
+    return [_all_entries(v, entry) if isinstance(v, list) else entry for v in valid]
+
+
+def _last_entry(valid, entry):
+    """valid with its last entry replaced."""
+    last = valid[-1]
+    return valid[:-1] + [_last_entry(last, entry) if isinstance(last, list) else entry]
+
+
+TWO_POINTS = PerceptionSpace.discrete(["a", "b"])
+_ZERO = [[0.0, 0.0], [0.0, 0.0]]
+RAGGED = [1.0, 2.0]
+
+# every array argument: the call with that array in place, a valid array as a
+# list (nested for more than one axis), and whether complex entries are valid
+ARRAY_PARAMETERS = {
+    "Operator": (Operator, [[1.0, 0.5], [0.5, 1.0]], True),
+    "Operator.from_json.re": (lambda re: Operator.from_json({"dim": 2, "re": re, "im": _ZERO}), _ZERO, False),
+    "Operator.from_json.im": (lambda im: Operator.from_json({"dim": 2, "re": _ZERO, "im": im}), _ZERO, False),
+    "State.pure": (State.pure, [1.0, 0.5], True),
+    "PerceptionSpace.weights": (lambda w: PerceptionSpace.discrete(["a", "b"], w), [1.0, 2.0], False),
+    "PerceptionSpace.points": (lambda pts: PerceptionSpace([1.0, 1.0], points=pts, axes=("x",)), [[0.0], [1.0]], False),
+    "PerceptionSpace.grid.axis": (lambda axis: PerceptionSpace.grid({"x": axis}), [0.0, 1.0], False),
+    "PerceptionSpace.grid.prior_density": (
+        lambda dens: PerceptionSpace.grid({"x": [0.0, 1.0]}, lambda x: dens), [1.0, 2.0], False
+    ),
+    "MeasureProfile.density": (lambda m: MeasureProfile(TWO_POINTS, m), [0.5, 1.0], False),
+    "profile_from_density": (lambda m: profile_from_density(TWO_POINTS, m), [0.5, 1.0], False),
+    "relative_state": (lambda psi: relative_state(RELATIVE_SPEC, psi), [1.0, 0.5], True),
+    "gram_metric": (gram_metric, [[[1.0, 0.5]]], True),
+    "family_metric.points": (lambda pts: family_metric(_sphere_family, pts, (1e-4, 1e-4)), [[1.0, 0.5]], False),
+    "circle_density_array.phis": (lambda phis: toymodels.circle_density_array(1.0, phis), [0.0, 1.0], False),
+}
+# (name, array, the bad entry): a bool array, then one bad entry at the end
+_ARRAY_CASES = [
+    (name, array, entry)
+    for name, (_, valid, _) in ARRAY_PARAMETERS.items()
+    for array, entry in [(_all_entries(valid, True), True)]
+    + [(_last_entry(valid, bad), bad) for bad in ("1", 10**400, math.nan, math.inf, RAGGED)]
+]
+
+
+@pytest.mark.parametrize(
+    "name, array, entry", _ARRAY_CASES, ids=[f"{n}-{e!r:.12}" for n, _, e in _ARRAY_CASES]
+)
+def test_array_parameters_reject_bools_strings_overflowing_ints_non_finite_entries_and_ragged_lists(
+    name, array, entry
+):
+    call, _, _ = ARRAY_PARAMETERS[name]
+    # a ragged list has no entry to name; every other message ends in the bad entry
+    tail = "an array of numbers of one shape" if entry is RAGGED else f".*, got {re.escape(repr(entry))}"
+    with pytest.raises(ValidationError, match=f"must be {tail}$"):
+        call(array)
+
+
+def _numbers(out):
+    """The array an intake's result holds."""
+    return getattr(out, "mat", getattr(out, "density", getattr(out, "weights", out)))
+
+
+@pytest.mark.parametrize("name", ARRAY_PARAMETERS)
+def test_array_parameters_take_float32_integer_and_complex_arrays(name):
+    call, valid, complex_valid = ARRAY_PARAMETERS[name]
+    expected = _numbers(call(valid))
+    # every valid entry is a float32; truncated to integers the arrays stay valid
+    assert np.array_equal(_numbers(call(np.array(valid, dtype=np.float32))), expected)
+    call(np.array(valid).astype(np.int64))
+    if complex_valid:
+        assert np.array_equal(_numbers(call(np.array(valid, dtype=complex))), expected)
+    else:  # a complex number is no real one, whatever its imaginary part
+        first = complex(np.array(valid).flat[0])
+        with pytest.raises(ValidationError, match=f"must be a finite real number, got {re.escape(repr(first))}$"):
+            call(np.array(valid, dtype=complex))
 
 
 # every field of every spec variant holds one operator, or a sequence of them

@@ -1,11 +1,14 @@
+import csv
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_projector, random_state
+from conftest import REPO, random_projector, random_state, subprocess_env
 from qpercept import hypotheses
 from qpercept.errors import InvalidExperience, ValidationError, ZeroMeasure
 from qpercept.hypotheses import ExperienceFamily, Explicit, Projector
@@ -564,3 +567,20 @@ def test_profile_export(tmp_path):
     blob = profile_to_json(prof)
     assert blob["total_measure"] == pytest.approx(prof.total_measure)
     assert len(blob["points"]) == 101
+
+
+def test_the_sweep_script_writes_the_profile_rows(tmp_path):
+    # the script in a fresh interpreter, at its default theta of pi/2
+    out = tmp_path / "circle.csv"
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "typicality_sweep.py"), "--points", "41", "--output", str(out)],
+        capture_output=True, text=True, env=subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = out.read_text().splitlines()
+    assert len(lines) == 42
+    rows = profile_rows(circle_profile(math.pi / 2, points=41))
+    assert lines[0].split(",") == list(rows[0])
+    # str(float) round-trips, so the written values are the rows' values exactly
+    written = list(csv.DictReader(lines))
+    assert [{k: row[k] if k == "label" else float(row[k]) for k in row} for row in written] == rows

@@ -1,7 +1,8 @@
 """One structural tolerance: every check compares against operators.TOL, and no
 public callable, method or dataclass field lets a caller choose another.  One
 integer rule: errors.check_int is the only test of whether a value is an integer.
-One real rule: errors.check_real is the only test of a real-valued argument."""
+One real rule: errors.check_real is the only test of a real-valued argument.
+One array rule: operators.check_array is the only conversion of an array argument."""
 import ast
 import dataclasses
 import importlib
@@ -200,28 +201,40 @@ def real_argument_tests(source: str) -> list[int]:
             if any(_callee(sub) == "float" for stmt in node.body for sub in ast.walk(stmt)):
                 lines.add(node.lineno)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            stored = {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
-            public = not node.name.startswith("_") or node.name.endswith("__")
-            raw = {a.arg for a in node.args.args + node.args.kwonlyargs} - stored if public else set()
-            loops = {
-                n.id
-                for sub in ast.walk(node)
-                if isinstance(sub, (ast.For, ast.comprehension))
-                for n in ast.walk(sub.target)
-                if isinstance(n, ast.Name)
-            }
-
-            def argument(expr, names) -> bool:
-                if isinstance(expr, ast.Attribute):
-                    return isinstance(expr.value, ast.Name) and expr.value.id == "self"
-                return isinstance(expr, ast.Name) and expr.id in names
-
+            raw = _raw_parameters(node)
             for sub in ast.walk(node):
-                if _callee(sub) == "isfinite" and sub.args and argument(sub.args[0], raw | loops):
+                if _callee(sub) == "isfinite" and sub.args and _argument(sub.args[0], raw | _loop_names(node)):
                     lines.add(sub.lineno)
-                elif isinstance(sub, ast.Compare) and len(sub.ops) > 1 and argument(sub.comparators[0], raw):
+                elif isinstance(sub, ast.Compare) and len(sub.ops) > 1 and _argument(sub.comparators[0], raw):
                     lines.add(sub.lineno)
     return sorted(lines)
+
+
+def _raw_parameters(function) -> set[str]:
+    """The parameters a public function (or dunder method) never rebinds; none
+    for a private helper, which takes what its caller has checked."""
+    if function.name.startswith("_") and not function.name.endswith("__"):
+        return set()
+    stored = {n.id for n in ast.walk(function) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    return {a.arg for a in function.args.args + function.args.kwonlyargs} - stored
+
+
+def _loop_names(function) -> set[str]:
+    """The names a loop or comprehension of the function binds."""
+    return {
+        n.id
+        for sub in ast.walk(function)
+        if isinstance(sub, (ast.For, ast.comprehension))
+        for n in ast.walk(sub.target)
+        if isinstance(n, ast.Name)
+    }
+
+
+def _argument(expr, names) -> bool:
+    """expr is a field self.x or one of the names."""
+    if isinstance(expr, ast.Attribute):
+        return isinstance(expr.value, ast.Name) and expr.value.id == "self"
+    return isinstance(expr, ast.Name) and expr.id in names
 
 
 def _callee(node):
@@ -265,6 +278,53 @@ def test_check_real_is_the_only_real_argument_test():
         if p.name not in ("errors.py", "cli.py")
         for line in real_argument_tests(p.read_text())
     ]
+    assert found == []
+
+
+def array_intakes(source: str) -> list[int]:
+    """Lines that turn an array argument into numbers outside the rule: a call
+    of np.asarray, np.array or np.atleast_2d on a field self.x, on a loop
+    variable, or on a parameter that a public function never rebinds, anywhere
+    but in check_array itself."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name != "check_array":
+            names = _raw_parameters(node) | _loop_names(node)
+            for sub in ast.walk(node):
+                if _numpy_call(sub, ("asarray", "array", "atleast_2d")) and _argument(sub.args[0], names):
+                    lines.add(sub.lineno)
+    return sorted(lines)
+
+
+def _numpy_call(node, names) -> bool:
+    """node calls np.f, for f one of the names, with at least one argument."""
+    func = node.func if isinstance(node, ast.Call) and node.args else None
+    return isinstance(func, ast.Attribute) and func.attr in names and getattr(func.value, "id", None) == "np"
+
+
+def test_the_array_scan_flags_a_conversion_of_an_argument_only():
+    source = (
+        "def f(x, y, z, w):\n"
+        "    a = np.asarray(x, dtype=float)\n"
+        "    b = np.atleast_2d(np.array(y)) + np.atleast_2d(check_array('y', y))\n"
+        "    z = z + 1\n"
+        "    c = np.asarray(z) + np.array([w, w]) + other.asarray(w) + np.asarray()\n"
+        "    return np.asarray(self.mat, dtype=complex)\n"
+        "def _helper(v, vs):\n"
+        "    return np.asarray(v) + [np.array(u) for u in vs]\n"
+        "def check_array(what, value):\n"
+        "    return np.asarray(value)\n"
+        "class A:\n"
+        "    def __post_init__(self):\n"
+        "        m = np.atleast_2d(self.points)\n"
+    )
+    assert array_intakes(source) == [2, 3, 6, 8, 13]
+
+
+def test_check_array_is_the_only_array_intake():
+    # operators.py holds the rule, beside the matrix intake; errors.py stays numpy-free
+    src = pathlib.Path(qpercept.__file__).parent
+    found = [f"{p.stem}:{line}" for p in sorted(src.glob("*.py")) for line in array_intakes(p.read_text())]
     assert found == []
 
 
