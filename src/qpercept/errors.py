@@ -12,6 +12,8 @@ a test scans the source for any other integer or real-argument test.
 import math
 import numbers
 
+# the one absolute tolerance of every structural check, on unit-scale values
+TOL = 1e-9
 # the seed of a seeded run that names none
 DEFAULT_SEED = 42
 # linear-positivity Monte Carlo draws its samples in blocks of BLOCK

@@ -135,7 +135,10 @@ def family_metric(
     if np.any(steps <= 0):
         raise ValidationError(f"a step size must be positive, got {float(steps.min())!r}")
 
+    first = None  # the shape of the family's first output, which every output must have
+
     def metric(h: np.ndarray) -> np.ndarray:
+        nonlocal first
         derivs = []
         for x in pts:
             rows = []
@@ -143,6 +146,10 @@ def family_metric(
                 plus, minus = family(x + shift), family(x - shift)
                 if len(plus) != len(minus):
                     raise ValidationError("family must return a fixed number of operators")
+                for c in (*plus, *minus):
+                    first = np.shape(c) if first is None else first
+                    if np.shape(c) != first:
+                        raise DimensionMismatch(f"family outputs of shapes {first} and {np.shape(c)}")
                 with np.errstate(over="ignore", invalid="ignore"):  # a subnormal step; gram_metric rejects the inf
                     rows.append([(p - m) / (2 * h[i]) for p, m in zip(plus, minus)])
             derivs.append(rows)

@@ -7,10 +7,11 @@ dimensions once; `expectation` is its batch of one.  Every array argument of
 the package goes through one rule, `check_array`, into a finite float or
 complex array.  All arithmetic is double precision.  Every structural check
 compares against one absolute tolerance, TOL, on unit-scale matrices; a matrix
-check goes through the max-norm predicate `negligible`.  The only other
-thresholds are two named rounding slacks, toymodels.LINPOS_SLACK and
-inference.DE_QUAD_RTOL.  Random sampling takes an explicit nonnegative integer
-seed and never shares generator state.
+check goes through the max-norm predicate `negligible`.  TOL is defined in
+`errors`, beside the other constants the command line reads before numpy, and
+bound here as operators.TOL.  The only other thresholds are two named rounding
+slacks, bloch.LINPOS_SLACK and inference.DE_QUAD_RTOL.  Random sampling takes
+an explicit nonnegative integer seed and never shares generator state.
 """
 from __future__ import annotations
 
@@ -21,9 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError, check_int, check_real, json_field
-
-TOL = 1e-9
+from .bloch import bloch_vector, check_bloch_angles
+from .errors import TOL, DimensionMismatch, ValidationError, check_int, check_real, json_field
 
 
 def negligible(x) -> bool:
@@ -200,26 +200,12 @@ def expectation(state: State, op: Operator) -> complex:
     return complex(expectations(state, op.mat[np.newaxis])[0])
 
 
-def check_bloch_angles(polar: float, azimuth: float) -> None:
-    """Finite angles with the polar angle in [0, pi]."""
-    check_real("the polar angle", polar, 0.0, math.pi)
-    check_real("the azimuth", azimuth)
-
-
 def bloch_projector(polar: float, azimuth: float) -> Operator:
     """Rank-one projector onto the spin-half state along (polar, azimuth)."""
     polar, azimuth = check_real("the polar angle", polar), check_real("the azimuth", azimuth)
     c, s = math.cos(polar), math.sin(polar)
     phase = complex(math.cos(azimuth), math.sin(azimuth))
     return Operator(0.5 * np.array([[1 + c, s * phase], [s * phase.conjugate(), 1 - c]]))
-
-
-def bloch_vector(polar: float, azimuth: float) -> tuple[float, float, float]:
-    """Bloch vector Tr(P sigma_i) of P = bloch_projector(polar, azimuth), whose
-    entry P[0, 1] = sin(polar) e^(i azimuth) / 2 makes y = -sin(polar) sin(azimuth)."""
-    polar, azimuth = check_real("the polar angle", polar), check_real("the azimuth", azimuth)
-    s = math.sin(polar)
-    return (s * math.cos(azimuth), -s * math.sin(azimuth), math.cos(polar))
 
 
 def from_params(p: ParamPositiveOp) -> Operator:

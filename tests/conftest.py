@@ -57,6 +57,16 @@ def vector_linpos(s: np.ndarray, qs: np.ndarray, rs: np.ndarray) -> np.ndarray:
     return toymodels._linpos_mask(qs @ s, rs @ s, np.einsum("ij,ij->i", qs, rs))
 
 
+def minmax_linpos(aq, ar, qr):
+    """Oracle: the interval condition on a.q, a.r and q.r in its max/min form,
+    max(0, (a.q + a.r)/2) <= Re <QR> <= min(<Q>, <R>), through numpy's
+    maximum and minimum."""
+    mid = 0.25 * (1.0 + qr + aq + ar)
+    lhs = np.maximum(0.0, 0.5 * (aq + ar))
+    rhs = np.minimum(0.5 * (1.0 + aq), 0.5 * (1.0 + ar))
+    return (lhs <= mid + toymodels.LINPOS_SLACK) & (mid <= rhs + toymodels.LINPOS_SLACK)
+
+
 def matrix_route_linpos(rho: State, q: Operator, r: Operator) -> bool:
     """Oracle: max(0, <Q+R-I>) <= Re <QR> <= min(<Q>, <R>) from the matrices."""
     exp_q = expectation(rho, q).real

@@ -518,6 +518,67 @@ def test_cold_sqmn_never_imports_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+# the golden argvs of the Bloch-sphere closed forms, which need only math too
+BLOCH_ARGVS = [
+    ["typicality", "--model", "circle", "--theta", "1.2", "--phi", "2.5"],
+    ["typicality", "--model", "sphere", "--theta", "0.9", "--vartheta", "1.2", "--phi", "0.4"],
+    ["twostep", "--theta0", "0.0", "--phi0", "0.0", "--theta1", "0.7", "--phi1", "0.3",
+     "--theta2", "1.1", "--phi2", "2.0"],
+    ["twostep", "--theta0", "0.3", "--phi0", "0.2", "--theta1", "1.9", "--phi1", "1.0",
+     "--theta2", "2.9", "--phi2", "4.0"],
+]
+# (argv, exit code): a missing option of each, a polar angle out of range, a degenerate circle
+BLOCH_FAILURES = [
+    *((argv[:-2], 2) for argv in BLOCH_ARGVS),
+    (["twostep", "--theta0", "4.0", *BLOCH_ARGVS[2][3:]], 2),
+    (["typicality", "--model", "circle", "--theta", "0.0", "--phi", "2.5"], 1),
+]
+
+
+def test_cold_bloch_closed_forms_never_import_numpy():
+    code = (
+        "import contextlib, io, sys\n"
+        "from qpercept import cli\n"
+        f"for argv, expected in {BLOCH_FAILURES!r}:\n"
+        "    with contextlib.redirect_stderr(io.StringIO()):\n"
+        "        assert cli.main(argv) == expected, argv\n"
+        "    assert 'numpy' not in sys.modules, argv\n"
+        f"for argv in {BLOCH_ARGVS!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "    assert 'numpy' not in sys.modules, argv\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["typicality", "--model", "ball", "--u", "0.1", "--v", "0.2", "--w", "0.3"],
+        ["typicality", "--model", "circle", "--theta", "1.2", "--phi", "2.5", "--grid", "3"],
+        ["twostep", "--mc", "10", "--seed", "7"],
+        ["epr", "--theta", "1.1"],
+        ["flag", "--dim", "4", "--ranks", "2,1,1", "--seed", "5"],
+    ],
+    ids=["ball", "grid", "mc", "epr", "flag"],
+)
+def test_the_matrix_subcommands_do_import_numpy(argv):
+    code = (
+        "import contextlib, io, sys\n"
+        "from qpercept import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_package_names_resolve_on_first_use():
     code = (
         "import sys, qpercept\n"

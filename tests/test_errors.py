@@ -306,7 +306,8 @@ def test_a_two_step_state_of_the_wrong_dimension_is_a_dimension_mismatch():
         toymodels.two_step_analysis(direction, direction, direction, state=State.maximally_mixed(3))
 
 
-# qubit operators against a 3-dimensional state, at every site that forms Tr(rho E)
+# qubit operators against a 3-dimensional state, at every site that forms Tr(rho E),
+# and a family metric whose class operators change shape
 QUBIT_STEP = sample_decomposition(2, (1, 1), 0)
 TWO_STEP = toymodels.two_step_family(bloch_projector(0.4, 0.0), bloch_projector(1.2, 0.7))
 QUBIT_Q, QUBIT_R = (TWO_STEP.entries[0][1].chain[i] for i in (1, 0))
@@ -329,6 +330,8 @@ STATE_3 = State.maximally_mixed(3)
         lambda: overlap_fraction(Projector(QUBIT_Q), Projector(identity(3)), State.maximally_mixed(2)),
         lambda: relative_density(Projector(QUBIT_Q), STATE_3),
         lambda: prior_measure(TWO_STEP, "prior_state", STATE_3),
+        lambda: family_metric(lambda x: [np.eye(2) if x[0] > 1 else np.eye(3)], [[1.0]], [1e-3]),
+        lambda: family_metric(lambda x: [np.eye(2), np.ones(1)], [[1.0]], [1e-3]),
     ],
     ids=[
         "density_at",
@@ -341,6 +344,8 @@ STATE_3 = State.maximally_mixed(3)
         "overlap_fraction_mixed_specs",
         "relative_density",
         "prior_state",
+        "family_metric_output_shapes",
+        "family_metric_broadcastable_shapes",
     ],
 )
 def test_qubit_operators_against_a_qutrit_state_are_a_dimension_mismatch(call):
