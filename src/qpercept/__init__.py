@@ -5,7 +5,8 @@ Submodules:
     hypotheses  experience-operator variants and structural checks
     measures    perception spaces, measure profiles, typicalities
     inference   power-law exponent statistics and Bayesian updating
-    toymodels   ball/circle/sphere models, two-step histories, paired spins
+    bloch       closed forms of the qubit models and paired spins, math only
+    toymodels   matrix and array routes of the models, linear-positivity Monte Carlo
     manyworlds  projector decompositions and the replicated functional
     reproduce   reference-constant battery
 """

@@ -1,7 +1,8 @@
-"""Closed forms on the Bloch sphere of a qubit: the circle and sphere
-perception families, the two-step history diagnostics and their
-spherical-triangle picture, in scalar `math` only, so that the command line
-answers them without loading numpy.
+"""Closed forms of the qubit toy models: the ball model's spin-up density and
+prior, the circle and sphere perception families on the Bloch sphere, the
+two-step history diagnostics and their spherical-triangle picture, and the
+paired-spin and divided-cat measures, in scalar `math` only, so that the
+command line answers them without loading numpy.
 
 Angles are radians throughout.  The two-step diagnostics are closed forms in
 four numbers of the Bloch vectors a (state), q and r (projectors Q and R):
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import TOL, DegenerateInput, ValidationError, check_real
+from .errors import MAX_PARTS, TOL, DegenerateInput, ValidationError, check_int, check_real
 
 
 def check_bloch_angles(polar: float, azimuth: float) -> None:
@@ -51,6 +52,36 @@ class Direction:
         import numpy as np
 
         return np.array(bloch_vector(self.polar, self.azimuth))
+
+
+# ---------------------------------------------------------------------------
+# ball model: three-parameter continuum of positive operators on a qubit
+
+
+def _ball_r2(u: float, v: float, w: float) -> float:
+    """u^2 + v^2 + w^2 of finite coordinates in the unit ball (within TOL)."""
+    u, v, w = (check_real("a ball coordinate", c) for c in (u, v, w))
+    r2 = u * u + v * v + w * w
+    if r2 > 1.0 + TOL:
+        raise ValidationError("ball coordinates must satisfy u^2+v^2+w^2 <= 1")
+    return r2
+
+
+def ball_prior_weight(u: float, v: float, w: float) -> float:
+    """Prior density sqrt(8)/(1+u^2+v^2+w^2)^3 from the operator-family metric."""
+    return math.sqrt(8.0) / (1.0 + _ball_r2(u, v, w)) ** 3
+
+
+def ball_spin_up_density(u: float, v: float, w: float) -> float:
+    """Measure density (1+w)/(1+u^2+v^2+w^2) of the ball-model perception
+    (u, v, w) in the spin-up state.
+
+    It is the (0, 0) entry t + t w, t = 1/(1 + u^2 + v^2 + w^2), of
+    toymodels.ball_experience, formed in the same order, so it equals
+    toymodels.ball_model_density at spin up to the bit.
+    """
+    t = 1.0 / (1.0 + _ball_r2(u, v, w))
+    return t + t * w
 
 
 # ---------------------------------------------------------------------------
@@ -242,3 +273,89 @@ def triangle_equivalence(state_dir: Direction, q_dir: Direction, r_dir: Directio
     all_sub_pi = all(area <= math.pi + TOL for area in areas)
     linpos = bool(_linpos_mask(sq, sr, qr))
     return TriangleReport("ok", linpos, all_sub_pi, areas)
+
+
+# ---------------------------------------------------------------------------
+# paired spins and the divided cat
+
+# each per-part factor as its diagonal (<0|P|0>, <1|P|1>), all a cat measure reads
+_ALIVE, _DEAD, _IDENTITY = (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)
+_PLUS = _MINUS = (0.5, 0.5)  # |+><+| and |-><-| share their diagonal
+
+
+def _cat_measure(diagonals) -> float:
+    """Measure of the product P_1 (x) ... (x) P_n of per-part 2x2 operators in
+    the cat state rho = (|0...0><0...0| + |1...1><1...1|)/2, from the pairs
+    (<0|P_k|0>, <1|P_k|1>).
+
+    Only the two corner diagonal entries of the product touch rho, so the
+    measure is (prod <0|P_k|0> + prod <1|P_k|1>)/2, in O(n).
+    """
+    alive = math.prod(a for a, _ in diagonals)
+    dead = math.prod(d for _, d in diagonals)
+    return 0.5 * (alive + dead)
+
+
+@dataclass(frozen=True)
+class EprCatReport:
+    """Measures for the paired-spin experiment and the divided-cat sector.
+
+    Region-A measures are independent of the far detector angle; the joint
+    same-spin and opposite-spin measures have ratio tan^2(theta/2).  The cat
+    sector is two (or n) perfectly correlated binary factors: in the
+    alive/dead coupling no perception sees head and body disagree, while in
+    the rotated +/- coupling only a 2^(1-n) fraction of the measure is free
+    of such disagreements.  Both come from _cat_measure, the closed form
+    (prod <0|P_k|0> + prod <1|P_k|1>)/2 of a product projector, O(n) in n parts.
+    """
+
+    theta: float
+    mu_up_a: float
+    mu_down_a: float
+    mu_up_up: float
+    mu_up_down: float
+    mu_down_up: float
+    mu_down_down: float
+    confused_original: float
+
+    def unconfused_fraction_alternative(self, parts: int = 2) -> float:
+        return _unconfused_fraction(parts)
+
+
+def _unconfused_fraction(parts: int) -> float:
+    parts = check_int("the number of parts of the cat", parts, 1, MAX_PARTS)
+    # only all-plus and all-minus have no head/body disagreement; plus + minus is
+    # the identity, so the measure of all 2^parts patterns is the identity's
+    unconfused = _cat_measure([_PLUS] * parts) + _cat_measure([_MINUS] * parts)
+    return unconfused / _cat_measure([_IDENTITY] * parts)
+
+
+def epr_cat_model(theta: float) -> EprCatReport:
+    """Measures of the singlet experiment at far-detector angle theta.
+
+    In the singlet (|01> - |10>)/sqrt(2) each region-A outcome has measure
+    1/2 at every angle.  Spin up at the far detector projects onto
+    (cos(theta/2), sin(theta/2)), so a joint outcome of equal spins has
+    measure sin^2(theta/2)/2 and one of opposite spins cos^2(theta/2)/2.
+    """
+    theta = check_real("theta", theta, 0.0, math.pi)
+    s, c = math.sin(0.5 * theta), math.cos(0.5 * theta)
+    # s * s, not s ** 2: a product is correctly rounded, libm's pow not always
+    same, opposite = 0.5 * (s * s), 0.5 * (c * c)
+    return EprCatReport(
+        theta=theta,
+        mu_up_a=0.5,
+        mu_down_a=0.5,
+        mu_up_up=same,
+        mu_up_down=opposite,
+        mu_down_up=opposite,
+        mu_down_down=same,
+        confused_original=_confused_original(),
+    )
+
+
+def _confused_original() -> float:
+    """Measure of perceptions seeing head and body liveliness disagree when
+    perceptions couple to the alive/dead states themselves."""
+    # spin (x) head (x) body; spin up pairs with both alive, down with both dead
+    return _cat_measure([_IDENTITY, _ALIVE, _DEAD]) + _cat_measure([_IDENTITY, _DEAD, _ALIVE])

@@ -11,13 +11,13 @@ preset every long option.  Reports are strict JSON: a non-finite option is a
 usage error, and a non-finite result is a computation failure.
 
 Each subcommand imports only the modules it runs.  `sqmn` (through
-`inference`), `typicality --model circle|sphere` and `twostep` without `--mc`
-(through `bloch`) need only `math`, so they load no numpy and take about
-0.056 s cold, against 0.13 s while the closed forms loaded numpy and
-`toymodels` (medians of 15 fresh processes on a 2-core Xeon VM).
-`typicality --model ball` (0.135 s), `twostep --mc` (0.145 s), `epr`
-(0.13 s) and `flag` (0.12 s) load numpy; `reproduce` and `typicality --grid`
-also load the battery.
+`inference`), `typicality` without `--grid`, `twostep` without `--mc` and
+`epr` (through `bloch`) need only `math`, so they load no numpy.  On a
+2-core Xeon VM where `python -c pass` took 0.047 s, `typicality --model ball`
+and `epr` took 0.083 s cold, as `--model sphere` did, against 0.21 s while
+they built matrices in `toymodels` (medians of 15 fresh processes,
+alternating with the old code).  `twostep --mc` and `flag` (0.19 s there)
+load numpy; `reproduce` and `typicality --grid` also load the battery.
 """
 from __future__ import annotations
 
@@ -267,15 +267,10 @@ def _cmd_typicality(args) -> tuple[dict, int]:
         params = _require(args, "model", "theta", "vartheta", "phi")
         results = asdict(bloch.sphere_model(args.theta, args.vartheta, args.phi))
     else:
-        from . import toymodels
-        from .operators import State
-
         params = _require(args, "model", "u", "v", "w")
-        state = State.pure([1.0, 0.0])
-        density = toymodels.ball_model_density(state, args.u, args.v, args.w)
         results = {
-            "density": density,
-            "prior_weight": toymodels.ball_prior_weight(args.u, args.v, args.w),
+            "density": bloch.ball_spin_up_density(args.u, args.v, args.w),
+            "prior_weight": bloch.ball_prior_weight(args.u, args.v, args.w),
         }
     return {"command": "typicality", "params": params, "results": results}, 0
 
@@ -324,11 +319,11 @@ def _cmd_sqmn(args) -> tuple[dict, int]:
 def _cmd_epr(args) -> tuple[dict, int]:
     from dataclasses import asdict
 
-    from . import toymodels
+    from . import bloch
 
     params = _require(args, "theta")
     parts = params["parts"] = 2 if args.parts is None else args.parts
-    rep = toymodels.epr_cat_model(args.theta)
+    rep = bloch.epr_cat_model(args.theta)
     results = {key: value for key, value in asdict(rep).items() if key != "theta"}
     results["unconfused_fraction_alternative"] = rep.unconfused_fraction_alternative(parts)
     results["parts"] = parts

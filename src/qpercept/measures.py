@@ -138,13 +138,9 @@ class MeasureProfile:
     density: np.ndarray
 
     def __post_init__(self):
-        m = check_array("the density", self.density)
-        if m.shape != (len(self.space),):
-            raise ValidationError("density must have one value per point")
-        if np.any(m < 0):
+        _set_density(self, check_array("the density", self.density))
+        if np.any(self.density < 0):
             raise ValidationError("density values must be nonnegative")
-        m.setflags(write=False)
-        object.__setattr__(self, "density", m)
 
     @cached_property
     def point_measures(self) -> np.ndarray:
@@ -189,7 +185,19 @@ def profile_from_density(space: PerceptionSpace, density) -> MeasureProfile:
     raw = check_array("the density", density)
     if np.any(raw < -TOL):
         raise InvalidExperience("density below -TOL")
-    return MeasureProfile(space=space, density=np.clip(raw, 0.0, None))
+    # the clipped copy is finite and nonnegative, so only its shape is left to check
+    profile = object.__new__(MeasureProfile)
+    object.__setattr__(profile, "space", space)
+    _set_density(profile, np.clip(raw, 0.0, None))
+    return profile
+
+
+def _set_density(profile: MeasureProfile, m: np.ndarray) -> None:
+    """Give the profile the checked density m, one value per point, read-only."""
+    if m.shape != (len(profile.space),):
+        raise ValidationError("density must have one value per point")
+    m.setflags(write=False)
+    object.__setattr__(profile, "density", m)
 
 
 def measure_density(state: State, spec: ExperienceSpec) -> float:

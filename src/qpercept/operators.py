@@ -36,16 +36,25 @@ def pairwise_negligible(mats: Sequence[np.ndarray], pair: Callable) -> bool:
     return all(negligible(pair(a, b)) for a, b in itertools.combinations(mats, 2))
 
 
+def _holds_bool(value) -> bool:
+    """Whether a bool sits among the entries of a nested sequence of one shape."""
+    kinds = set(map(type, np.asarray(value, dtype=object).flat))
+    return bool in kinds or np.bool_ in kinds
+
+
 def check_array(what: str, value, ndim: int | None = None, dtype=float) -> np.ndarray:
     """value as a finite float (or complex) array of ndim axes, or a
     ValidationError naming what.  A numeric array is checked in one pass, and a
     float64 (complex128) one comes back uncopied; bools, strings and ints beyond
-    int64 go entry by entry, as given, through errors.check_real."""
+    int64 go entry by entry, as given, through errors.check_real.  A sequence
+    is scanned for bools first, since numpy reads True among floats as 1.0."""
     try:
         arr = np.asarray(value)
     except ValueError:  # a ragged list
         raise ValidationError(f"{what} must be an array of numbers of one shape") from None
-    numeric = arr.dtype.kind in ("iufc" if dtype is complex else "iuf")
+    numeric = arr.dtype.kind in ("iufc" if dtype is complex else "iuf") and (
+        isinstance(value, np.ndarray) or not _holds_bool(value)
+    )
     arr = arr.astype(dtype, copy=False) if numeric else arr
     if not (numeric and np.isfinite(arr).all()):
         entries = np.asarray(value, dtype=object)

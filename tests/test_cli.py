@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REPO, subprocess_env
-from qpercept import cli, inference, toymodels
+from qpercept import bloch, cli, inference, toymodels
 from qpercept.errors import ValidationError
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -359,9 +359,9 @@ def test_grid_above_bound_exits_two(capsys):
 
 
 def test_epr_parts_above_bound_exits_two(capsys):
-    assert toymodels.MAX_PARTS == 1023
+    assert bloch.MAX_PARTS == 1023
     with pytest.raises(ValidationError):
-        toymodels.epr_cat_model(0.0).unconfused_fraction_alternative(toymodels.MAX_PARTS + 1)
+        toymodels.epr_cat_model(0.0).unconfused_fraction_alternative(bloch.MAX_PARTS + 1)
     assert cli.main(["epr", "--theta", "0.3", "--parts", "1024"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == (
@@ -436,7 +436,7 @@ def _check_outcome(argv, in_range=None):
     parts=st.one_of(st.integers(-3, 20), st.integers(1000, 1100), st.integers(10**6, 10**18)),
 )
 def test_epr_property(theta, parts):
-    in_range = 0.0 <= theta <= math.pi and 1 <= parts <= toymodels.MAX_PARTS
+    in_range = 0.0 <= theta <= math.pi and 1 <= parts <= bloch.MAX_PARTS
     _check_outcome(["epr", "--theta", repr(theta), "--parts", str(parts)], in_range)
 
 
@@ -509,8 +509,8 @@ def test_cold_sqmn_never_imports_numpy():
         "        assert cli.main(argv) == 0\n"
         "    assert 'numpy' not in sys.modules, argv\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(['epr', '--theta', '1.0']) == 0\n"
-        "assert 'numpy' in sys.modules, 'epr'\n"
+        "    assert cli.main(['flag', '--dim', '4', '--ranks', '2,1,1', '--seed', '5']) == 0\n"
+        "assert 'numpy' in sys.modules, 'flag'\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env()
@@ -518,7 +518,7 @@ def test_cold_sqmn_never_imports_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
-# the golden argvs of the Bloch-sphere closed forms, which need only math too
+# golden argvs of bloch's closed forms, which need only math too
 BLOCH_ARGVS = [
     ["typicality", "--model", "circle", "--theta", "1.2", "--phi", "2.5"],
     ["typicality", "--model", "sphere", "--theta", "0.9", "--vartheta", "1.2", "--phi", "0.4"],
@@ -526,12 +526,19 @@ BLOCH_ARGVS = [
      "--theta2", "1.1", "--phi2", "2.0"],
     ["twostep", "--theta0", "0.3", "--phi0", "0.2", "--theta1", "1.9", "--phi1", "1.0",
      "--theta2", "2.9", "--phi2", "4.0"],
+    ["typicality", "--model", "ball", "--u", "0.1", "--v", "0.2", "--w", "0.3"],
+    ["epr", "--theta", "1.1"],
 ]
-# (argv, exit code): a missing option of each, a polar angle out of range, a degenerate circle
+# (argv, exit code): a missing option of each, a polar angle out of range, a
+# degenerate circle, a point outside the unit ball, a detector angle out of
+# range and a cat of too many parts
 BLOCH_FAILURES = [
     *((argv[:-2], 2) for argv in BLOCH_ARGVS),
     (["twostep", "--theta0", "4.0", *BLOCH_ARGVS[2][3:]], 2),
     (["typicality", "--model", "circle", "--theta", "0.0", "--phi", "2.5"], 1),
+    (["typicality", "--model", "ball", "--u", "0.8", "--v", "0.8", "--w", "0.8"], 2),
+    (["epr", "--theta", "4"], 2),
+    (["epr", "--theta", "1.1", "--parts", "1024"], 2),
 ]
 
 
@@ -557,13 +564,11 @@ def test_cold_bloch_closed_forms_never_import_numpy():
 @pytest.mark.parametrize(
     "argv",
     [
-        ["typicality", "--model", "ball", "--u", "0.1", "--v", "0.2", "--w", "0.3"],
         ["typicality", "--model", "circle", "--theta", "1.2", "--phi", "2.5", "--grid", "3"],
         ["twostep", "--mc", "10", "--seed", "7"],
-        ["epr", "--theta", "1.1"],
         ["flag", "--dim", "4", "--ranks", "2,1,1", "--seed", "5"],
     ],
-    ids=["ball", "grid", "mc", "epr", "flag"],
+    ids=["grid", "mc", "flag"],
 )
 def test_the_matrix_subcommands_do_import_numpy(argv):
     code = (

@@ -754,17 +754,19 @@ ARRAY_PARAMETERS = {
     "family_metric.points": (lambda pts: family_metric(_sphere_family, pts, (1e-4, 1e-4)), [[1.0, 0.5]], False),
     "circle_density_array.phis": (lambda phis: toymodels.circle_density_array(1.0, phis), [0.0, 1.0], False),
 }
-# (name, array, the bad entry): a bool array, then one bad entry at the end
+# (name, array, the bad entry, id): a bool array, then one bad entry at the end,
+# a bool among numbers included (numpy alone would read it as 1.0)
 _ARRAY_CASES = [
-    (name, array, entry)
+    (name, array, entry, f"{name}-{label}")
     for name, (_, valid, _) in ARRAY_PARAMETERS.items()
-    for array, entry in [(_all_entries(valid, True), True)]
-    + [(_last_entry(valid, bad), bad) for bad in ("1", 10**400, math.nan, math.inf, RAGGED)]
+    for array, entry, label in [(_all_entries(valid, True), True, "True")]
+    + [(_last_entry(valid, bad), bad, f"{bad!r:.12}") for bad in ("1", 10**400, math.nan, math.inf, RAGGED)]
+    + [(_last_entry(valid, bad), bad, f"last-{bad!r}") for bad in (True, np.True_)]
 ]
 
 
 @pytest.mark.parametrize(
-    "name, array, entry", _ARRAY_CASES, ids=[f"{n}-{e!r:.12}" for n, _, e in _ARRAY_CASES]
+    "name, array, entry", [case[:3] for case in _ARRAY_CASES], ids=[case[3] for case in _ARRAY_CASES]
 )
 def test_array_parameters_reject_bools_strings_overflowing_ints_non_finite_entries_and_ragged_lists(
     name, array, entry

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REPO, random_projector, random_state, subprocess_env
-from qpercept import hypotheses
-from qpercept.errors import InvalidExperience, ValidationError, ZeroMeasure
+from qpercept import hypotheses, measures
+from qpercept.errors import TOL, InvalidExperience, ValidationError, ZeroMeasure
 from qpercept.hypotheses import ExperienceFamily, Explicit, Projector
 from qpercept.measures import (
     MeasureProfile,
@@ -34,7 +34,7 @@ from qpercept.measures import (
     typicality_curves,
     typicality_of_density,
 )
-from qpercept.operators import Operator, State, bloch_projector, identity
+from qpercept.operators import Operator, State, bloch_projector, check_array, identity
 from qpercept.toymodels import ball_experience, ball_prior_weight, circle_density_array, circle_model
 
 
@@ -141,6 +141,30 @@ def test_zero_total_measure_blocks_typicality():
     assert prof.total_measure == 0.0
     with pytest.raises(ZeroMeasure):
         typicality(prof, 0)
+
+
+def test_profile_from_density_checks_its_input_once_and_keeps_every_error(monkeypatch):
+    space = PerceptionSpace.discrete(["a", "b"])
+    calls = []
+
+    def counted(what, *args, **kwargs):
+        calls.append(what)
+        return check_array(what, *args, **kwargs)
+
+    monkeypatch.setattr(measures, "check_array", counted)
+    prof = profile_from_density(space, np.array([-0.5 * TOL, 1.0]))
+    assert calls == ["the density"]
+    assert prof.density.tolist() == [0.0, 1.0] and not prof.density.flags.writeable
+    assert prof == MeasureProfile(space, prof.density)
+    with pytest.raises(ValidationError, match="^each entry of the density must be a finite real number, got nan$"):
+        profile_from_density(space, [math.nan, 1.0])
+    with pytest.raises(InvalidExperience, match="^density below -TOL$"):
+        profile_from_density(space, [-2 * TOL, 1.0])
+    for make in (profile_from_density, MeasureProfile):
+        with pytest.raises(ValidationError, match="^density must have one value per point$"):
+            make(space, [-0.5 * TOL, 0.5, 0.5])
+    with pytest.raises(ValidationError, match="^density values must be nonnegative$"):
+        MeasureProfile(space, [-0.5 * TOL, 1.0])
 
 
 def test_set_measure_full_and_empty():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -15,11 +16,11 @@ from conftest import (
     two_step_matrix_route,
     vector_linpos,
 )
-from qpercept import toymodels
+from qpercept import bloch, toymodels
 from qpercept.errors import DegenerateInput, ValidationError
 from qpercept.hypotheses import realize
 from qpercept.measures import PerceptionSpace, profile_from_density, typicality_of_density
-from qpercept.operators import State, bloch_projector, bloch_vector, expectation, identity, tensor_product
+from qpercept.operators import Operator, State, bloch_projector, bloch_vector, expectation, identity, tensor_product
 from qpercept.toymodels import (
     Direction,
     EprCatReport,
@@ -63,11 +64,23 @@ def test_ball_model_density_general_formula(rng):
         assert ball_model_density(up, u, v, w) == pytest.approx(expected, abs=1e-12)
 
 
+ball_coordinate = st.floats(min_value=-1.0, max_value=1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ball_coordinate, ball_coordinate, ball_coordinate)
+def test_ball_spin_up_density_is_the_matrix_route_to_the_bit(u, v, w):
+    assume(u * u + v * v + w * w <= 1.0)
+    assert bloch.ball_spin_up_density(u, v, w) == ball_model_density(State.pure([1.0, 0.0]), u, v, w)
+
+
 def test_ball_model_rejects_outside_ball():
     with pytest.raises(ValidationError):
         ball_experience(0.8, 0.8, 0.8)
     with pytest.raises(ValidationError):
         ball_prior_weight(1.2, 0.0, 0.0)
+    with pytest.raises(ValidationError, match="^ball coordinates must satisfy u\\^2\\+v\\^2\\+w\\^2 <= 1$"):
+        bloch.ball_spin_up_density(0.8, 0.8, 0.8)
     with pytest.raises(ValidationError, match="a ball coordinate must be a finite real number, got nan"):
         ball_experience(0.0, math.nan, 0.0)
 
@@ -485,44 +498,58 @@ def test_triangle_degenerate_configurations_are_skipped():
 # --- paired spins and the cat ------------------------------------------------------
 
 
+_P0 = np.array([[1.0, 0.0], [0.0, 0.0]])
+_P1 = np.array([[0.0, 0.0], [0.0, 1.0]])
+_PLUS = np.array([[0.5, 0.5], [0.5, 0.5]])
+_MINUS = np.array([[0.5, -0.5], [-0.5, 0.5]])
+
+
 def test_epr_perfect_anticorrelation_at_zero_angle():
     rep = epr_cat_model(0.0)
-    assert rep.mu_up_up == 0.0
-    assert rep.mu_down_down == 0.0
-    assert rep.mu_up_down == pytest.approx(0.5, abs=1e-12)
-    assert rep.mu_down_up == pytest.approx(0.5, abs=1e-12)
+    assert (rep.mu_up_up, rep.mu_up_down, rep.mu_down_up, rep.mu_down_down) == (0.0, 0.5, 0.5, 0.0)
 
 
-def test_epr_region_a_measures_equal_and_angle_independent():
-    values = []
+def test_epr_perfect_correlation_at_the_float_nearest_pi():
+    rep = epr_cat_model(math.pi)
+    assert rep.mu_up_up == rep.mu_down_down == 0.5
+    # math.pi falls short of pi by sin(math.pi), so cos^2(theta/2)/2 is sin^2(math.pi)/8, not 0
+    assert rep.mu_up_down == rep.mu_down_up == math.sin(math.pi) ** 2 / 8 > 0.0
+
+
+def test_epr_region_a_measures_are_exactly_one_half_at_every_angle():
     for theta in np.linspace(0, math.pi, 50):
         rep = epr_cat_model(float(theta))
-        assert rep.mu_up_a == rep.mu_down_a
-        values.append(rep.mu_up_a)
-    assert np.ptp(values) == 0.0
+        assert rep.mu_up_a == rep.mu_down_a == 0.5
 
 
 def _epr_per_call(theta: float) -> EprCatReport:
-    """Oracle: every operator of the experiment built afresh for each angle."""
+    """Oracle: the singlet and every tensor product of the experiment built
+    afresh for each angle, each measure an expectation Tr(rho A (x) B)."""
     up, down = np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)
     rho = State.pure((np.kron(up, down) - np.kron(down, up)) / math.sqrt(2))
-    p0, p1 = toymodels._P0, toymodels._P1
+    p0, p1, i2 = Operator(_P0), Operator(_P1), identity(2)
     b_up = bloch_projector(theta, 0.0)
-    b_down = identity(2) - b_up
+    b_down = i2 - b_up
 
     def mu(a, b):
         return float(expectation(rho, tensor_product(a, b)).real)
 
-    confused = toymodels._cat_measure([identity(2), p0, p1]) + toymodels._cat_measure([identity(2), p1, p0])
+    confused = _kron_cat_measure([i2, p0, p1]) + _kron_cat_measure([i2, p1, p0])
     return EprCatReport(
-        theta, mu(p0, identity(2)), mu(p1, identity(2)), mu(p0, b_up), mu(p0, b_down),
-        mu(p1, b_up), mu(p1, b_down), confused,
+        theta, mu(p0, i2), mu(p1, i2), mu(p0, b_up), mu(p0, b_down), mu(p1, b_up), mu(p1, b_down), confused,
     )
 
 
-def test_epr_model_equals_a_per_call_construction():
-    for theta in np.linspace(0.0, math.pi, 50):
-        assert epr_cat_model(float(theta)) == _epr_per_call(float(theta))
+def test_epr_model_matches_the_tensor_product_construction():
+    # the closed form rounds differently from the matrix route (the region-A
+    # measures read 0.5000000000000001 there); over 5001 angles the two part
+    # by at most 1 eps
+    eps = np.finfo(float).eps
+    for theta in np.linspace(0.0, math.pi, 1001):
+        closed, dense = epr_cat_model(float(theta)), _epr_per_call(float(theta))
+        assert closed.theta == dense.theta and closed.confused_original == dense.confused_original == 0.0
+        for f in dataclasses.fields(EprCatReport)[1:-1]:
+            assert abs(getattr(closed, f.name) - getattr(dense, f.name)) <= 2 * eps, (theta, f.name)
 
 
 def test_epr_tan_squared_ratio():
@@ -559,14 +586,13 @@ def _kronecker_unconfused_fraction(parts: int) -> float:
     dead = np.zeros(2**parts)
     dead[-1] = 1.0
     rho = 0.5 * (np.outer(alive, alive) + np.outer(dead, dead))
-    plus, minus = toymodels._PLUS, toymodels._MINUS
     total = 0.0
     unconfused = 0.0
     for pattern in range(2**parts):
         proj = np.eye(1)
         for bit_index in range(parts):
             bit = (pattern >> (parts - 1 - bit_index)) & 1
-            proj = np.kron(proj, (minus if bit else plus).mat.real)
+            proj = np.kron(proj, _MINUS if bit else _PLUS)
         mu = float(np.trace(rho @ proj))
         total += mu
         if pattern == 0 or pattern == 2**parts - 1:
@@ -592,20 +618,20 @@ def test_unconfused_fraction_matches_kronecker_oracle(parts):
 
 def test_unconfused_fraction_is_exact_up_to_the_bound():
     rep = epr_cat_model(0.4)
-    for parts in range(1, toymodels.MAX_PARTS + 1):
+    for parts in range(1, bloch.MAX_PARTS + 1):
         assert rep.unconfused_fraction_alternative(parts) == 2.0 ** (1 - parts)
     # the bound is the last part count whose fraction is a normal double
-    assert 2.0 ** (1 - toymodels.MAX_PARTS) == np.finfo(float).tiny
+    assert 2.0 ** (1 - bloch.MAX_PARTS) == np.finfo(float).tiny
     with pytest.raises(ValidationError):
-        rep.unconfused_fraction_alternative(toymodels.MAX_PARTS + 1)
+        rep.unconfused_fraction_alternative(bloch.MAX_PARTS + 1)
 
 
 def test_confused_original_matches_kronecker_oracle():
-    p0, p1, i2 = toymodels._P0.mat, toymodels._P1.mat, np.eye(2, dtype=complex)
+    p0, p1, i2 = _P0, _P1, np.eye(2)
     # spin (x) head (x) body; spin up pairs with both alive, down with both dead
     rho = 0.5 * (np.kron(p0, np.kron(p0, p0)) + np.kron(p1, np.kron(p1, p1)))
     disagree = np.kron(i2, np.kron(p0, p1)) + np.kron(i2, np.kron(p1, p0))
-    assert toymodels._confused_original() == float(np.trace(rho @ disagree).real) == 0.0
+    assert toymodels._confused_original() == float(np.trace(rho @ disagree)) == 0.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -613,7 +639,8 @@ def test_confused_original_matches_kronecker_oracle():
 def test_cat_measure_matches_dense_trace(angles):
     # random Bloch projectors have unequal diagonals, so a swapped index shows
     factors = [bloch_projector(t, p) for t, p in angles]
-    assert toymodels._cat_measure(factors) == pytest.approx(_kron_cat_measure(factors), abs=1e-12)
+    diagonals = [(float(p.mat[0, 0].real), float(p.mat[1, 1].real)) for p in factors]
+    assert toymodels._cat_measure(diagonals) == pytest.approx(_kron_cat_measure(factors), abs=1e-12)
 
 
 def test_direction_validation():
